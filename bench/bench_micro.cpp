@@ -1,7 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the stack:
-// message codecs, CCS payload encode/decode, simulator event scheduling,
-// RNG draws, and histogram accumulation.  These bound the per-round CPU
-// cost that the protocol adds on top of the network latency.
+// message codecs, CCS payload encode/decode, RNG draws, histogram
+// accumulation, and whole-stack simulation speed.  These bound the per-round
+// CPU cost that the protocol adds on top of the network latency.  Simulator
+// scheduling and token-ring rates live in bench_sim_core, whose results are
+// recorded in BENCH_sim_core.json.
 #include <benchmark/benchmark.h>
 
 #include "app/testbed.hpp"
@@ -11,7 +13,6 @@
 #include "common/rng.hpp"
 #include "cts/ccs_message.hpp"
 #include "gcs/gcs.hpp"
-#include "sim/simulator.hpp"
 
 namespace {
 
@@ -79,29 +80,6 @@ void BM_GcsHeaderRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_GcsHeaderRoundTrip);
 
-void BM_SimulatorScheduleAndRun(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Simulator sim;
-    for (int i = 0; i < 64; ++i) {
-      sim.after(i, [] {});
-    }
-    benchmark::DoNotOptimize(sim.run());
-  }
-}
-BENCHMARK(BM_SimulatorScheduleAndRun);
-
-void BM_SimulatorCancel(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Simulator sim;
-    std::vector<sim::Simulator::EventId> ids;
-    ids.reserve(64);
-    for (int i = 0; i < 64; ++i) ids.push_back(sim.after(i, [] {}));
-    for (auto id : ids) sim.cancel(id);
-    benchmark::DoNotOptimize(sim.run());
-  }
-}
-BENCHMARK(BM_SimulatorCancel);
-
 void BM_RngNext(benchmark::State& state) {
   Rng rng(1);
   for (auto _ : state) benchmark::DoNotOptimize(rng.next());
@@ -142,28 +120,6 @@ void BM_FullStackSimulationSpeed(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(completed));
 }
 BENCHMARK(BM_FullStackSimulationSpeed)->Unit(benchmark::kMicrosecond);
-
-void BM_TotemRingIdleRotation(benchmark::State& state) {
-  // Wall-clock cost of one simulated token rotation on an idle 4-node ring.
-  sim::Simulator sim(3);
-  net::Network net(sim, {});
-  totem::TotemConfig tcfg;
-  for (std::uint32_t i = 0; i < 4; ++i) tcfg.universe.push_back(NodeId{i});
-  std::vector<std::unique_ptr<totem::TotemNode>> nodes;
-  std::uint64_t tokens = 0;
-  for (std::uint32_t i = 0; i < 4; ++i) {
-    nodes.push_back(std::make_unique<totem::TotemNode>(sim, net, NodeId{i}, tcfg));
-    if (i == 0) nodes.back()->set_token_observer([&tokens] { ++tokens; });
-    nodes.back()->start();
-  }
-  sim.run_for(100'000);
-  for (auto _ : state) {
-    const auto target = tokens + 1;
-    while (tokens < target) sim.run(64);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(tokens));
-}
-BENCHMARK(BM_TotemRingIdleRotation)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -24,6 +24,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "app/archipelago.hpp"
@@ -393,6 +394,10 @@ BENCHMARK(BM_ShardedGatewayOpsPerSec)->Unit(benchmark::kMillisecond)->UseRealTim
 
 // --- JSON trajectory writer ----------------------------------------------------
 
+#ifndef CTS_BUILD_TYPE
+#define CTS_BUILD_TYPE "unknown"
+#endif
+
 struct CapturedRun {
   std::string name;
   std::int64_t iterations = 0;
@@ -434,9 +439,43 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const auto colon = line.find(':');
+      if (colon != std::string::npos) return line.substr(line.find_first_not_of(' ', colon + 1));
+    }
+  }
+  return "unknown";
+}
+
+std::string compiler() {
+#if defined(__clang__)
+  return std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  return std::string("gcc ") + __VERSION__;
+#else
+  return "unknown";
+#endif
+}
+
+// Host fingerprint: absolute timings only compare between entries whose
+// hosts match, so check_bench_schema.py rejects a before/after pair
+// recorded on two different hosts.
+std::string render_host() {
+  std::ostringstream out;
+  out << "{\"nproc\": " << std::thread::hardware_concurrency() << ", \"compiler\": \""
+      << json_escape(compiler()) << "\", \"build_type\": \"" << json_escape(CTS_BUILD_TYPE)
+      << "\", \"cpu\": \"" << json_escape(cpu_model()) << "\"}";
+  return out.str();
+}
+
 std::string render_entry(const std::string& label, const std::vector<CapturedRun>& runs) {
   std::ostringstream out;
-  out << "    {\n      \"label\": \"" << json_escape(label) << "\",\n      \"results\": [\n";
+  out << "    {\n      \"label\": \"" << json_escape(label) << "\",\n      \"host\": "
+      << render_host() << ",\n      \"results\": [\n";
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const CapturedRun& r = runs[i];
     out << "        {\"name\": \"" << json_escape(r.name) << "\", \"iterations\": "

@@ -147,7 +147,6 @@ void TotemNode::crash() {
   state_ = State::kDown;
   net_.set_down(id_, true);
   store_.clear();
-  recovered_.clear();
   joins_.clear();
   perceived_.clear();
   send_queue_.clear();
@@ -155,6 +154,7 @@ void TotemNode::crash() {
   view_ = View{};
   my_aru_ = 0;
   delivered_up_to_ = 0;
+  discarded_up_to_ = 0;
   last_token_seq_ = 0;
   token_aru_prev_ = 0;
   token_aru_last_ = 0;
@@ -373,6 +373,16 @@ void TotemNode::handle_token(Token tok) {
   // 1. Service retransmission requests for messages we hold.
   std::vector<TotemSeq> still_missing;
   for (TotemSeq s : tok.rtr) {
+    if (s <= discarded_up_to_) {
+      // Every member held s when this node discarded it, so nobody should
+      // ask for it again: the stability horizon was wrong.  Report it and
+      // drop the entry rather than circulate it forever; a genuine
+      // requester re-adds it on its next visit, so the count keeps rising.
+      ++stats_.rtr_below_floor;
+      CTS_WARN() << to_string(id_) << " rtr for seq " << s << " at or below discard floor "
+                 << discarded_up_to_ << " on ring " << view_.ring_id;
+      continue;
+    }
     auto it = store_.find(s);
     if (it != store_.end()) {
       net_.broadcast(id_, encode_mcast(it->second));
@@ -472,6 +482,18 @@ void TotemNode::handle_token(Token tok) {
   token_aru_prev_ = token_aru_last_;
   token_aru_last_ = tok.aru;
   deliver_contiguous();
+
+  // Discard stable messages (Totem [1]): every member holds the prefix up
+  // to the safe horizon, so no rtr request, Join high_seq or recovery
+  // rebroadcast can need it again (doc/PROTOCOL.md §2.3).  The delivered
+  // cap keeps anything this node has yet to deliver.
+  const TotemSeq stable = std::min({token_aru_prev_, token_aru_last_, delivered_up_to_});
+  if (stable > discarded_up_to_) {
+    const auto end = store_.upper_bound(stable);
+    stats_.msgs_discarded += static_cast<std::uint64_t>(end - store_.begin());
+    store_.erase(store_.begin(), end);
+    discarded_up_to_ = stable;
+  }
 
   // 5. Forward the token after the hold time.
   scope_.after(cfg_.token_hold_us, [this, e = epoch_, tok = std::move(tok)]() mutable {
@@ -837,9 +859,9 @@ void TotemNode::install(const View& v) {
   max_ring_seen_ = std::max(max_ring_seen_, v.ring_id);
   view_ = v;
   store_.clear();
-  recovered_.clear();
   my_aru_ = 0;
   delivered_up_to_ = 0;
+  discarded_up_to_ = 0;
   last_token_seq_ = 0;
   token_aru_prev_ = 0;
   token_aru_last_ = 0;

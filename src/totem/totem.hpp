@@ -27,6 +27,9 @@
 //
 //   * agreed AND safe delivery classes (safe = held until the token's aru
 //     confirms group-wide reception over two rotations);
+//   * stable-message discard: the same two-rotation horizon frees every
+//     message all members hold, so the store keeps only the in-flight
+//     window however long the ring lives;
 //   * packet envelope with magic + checksum (corrupt datagrams dropped);
 //   * batched message path: every message a node originates during one
 //     token visit rides ONE batch frame (kBatch), sealed by a single
@@ -124,6 +127,11 @@ struct TotemStats {
   std::uint64_t membership_changes = 0;
   std::uint64_t window_stalls = 0;      // token visits that left the send queue non-empty
   std::uint64_t batch_frames_sent = 0;  // kBatch frames put on the wire
+  std::uint64_t msgs_discarded = 0;     // stable messages erased from the store
+  // Token rtr entries at or below this node's discard floor.  Nonzero means
+  // a member asked for a message the ring had declared stable: the
+  // stability horizon was wrong.  Logged, never absorbed.
+  std::uint64_t rtr_below_floor = 0;
 
   friend bool operator==(const TotemStats&, const TotemStats&) = default;
 };
@@ -189,6 +197,8 @@ class TotemNode {
   [[nodiscard]] const View& view() const { return view_; }
   [[nodiscard]] const TotemStats& stats() const { return stats_; }
   [[nodiscard]] std::size_t queued() const { return send_queue_.size(); }
+  /// Current-ring messages held for retransmission and recovery.
+  [[nodiscard]] std::size_t stored() const { return store_.size(); }
 
  private:
   // --- Wire formats -------------------------------------------------------
@@ -296,14 +306,18 @@ class TotemNode {
   View view_;
 
   // Current-ring message store: seq -> message; my_aru = contiguous prefix.
+  // Holds (discarded_up_to_, highest seq received]: on every token visit the
+  // prefix every member holds and this node has delivered is erased as one
+  // range (see handle_token), so only the in-flight window stays resident.
   // FlatMap fits this workload exactly: seqs arrive near-monotonically (an
-  // insert is almost always an append at the back), the delivered prefix is
-  // never erased one-by-one — the whole store is cleared on ring install or
-  // crash — and the hot operations (contains of aru+1, find of the next
+  // insert is almost always an append at the back), erasure is a short
+  // prefix, and the hot operations (contains of aru+1, find of the next
   // undelivered seq) are binary searches over a contiguous vector.
   FlatMap<TotemSeq, Mcast> store_;
   TotemSeq my_aru_ = 0;
   TotemSeq delivered_up_to_ = 0;
+  // Discard floor: every seq at or below it has been erased from store_.
+  TotemSeq discarded_up_to_ = 0;
   std::uint64_t last_token_seq_ = 0;
 
   // Safe-delivery horizon: min of the token aru over the last two visits —
@@ -345,7 +359,6 @@ class TotemNode {
 
   // Recovery state.
   Commit pending_commit_;
-  FlatMap<TotemSeq, Mcast> recovered_;  // old-ring messages gathered in recovery
   sim::Simulator::EventId recovery_timer_{};
   bool recovery_armed_ = false;
   // Highest old-ring seq any surviving member reported; install is delayed

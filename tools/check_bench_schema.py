@@ -8,6 +8,12 @@ runs; CI gates on this checker so a malformed append (truncated write,
 duplicate label, missing metric) is caught at merge time rather than when
 someone next tries to plot the trajectory.
 
+Every entry bench_sim_core writes carries a host fingerprint ("host":
+{nproc, compiler, build_type, cpu}); absolute timings do not carry across
+hosts, so a before/after pair whose fingerprints differ is rejected.
+Entries recorded before the fingerprint existed have none and are exempt
+as long as both sides of their pair lack it.
+
 With --delta, additionally print a per-benchmark delta table for the most
 recent '<prefix>-before-*' / '<prefix>-after-*' pair in each file (ns/op
 and items/s where present).  The table is informational: CI runs it as a
@@ -50,7 +56,12 @@ KNOWN_BENCHMARKS = frozenset({
 REQUIRED_PAIR_PREFIXES = frozenset({
     # PR 10: deterministic flat containers under the delivery pipeline.
     "pr10",
+    # Stable-message discard in the Totem store (BM_RingBatchThroughput).
+    "pr12",
 })
+
+# The host fingerprint's fields and their types.
+HOST_FIELDS = {"nproc": int, "compiler": str, "build_type": str, "cpu": str}
 
 
 def fail(problems, path, msg):
@@ -80,6 +91,18 @@ def check_result(problems, path, label, res, idx):
         fail(problems, path, f"{where} ({name}): optional 'items_per_second' must be a non-negative number, got {ips!r}")
 
 
+def check_host(problems, path, label, host):
+    """A present host fingerprint must carry every field with its type."""
+    if not isinstance(host, dict):
+        fail(problems, path, f"runs[{label!r}]: 'host' must be an object, got {host!r}")
+        return
+    for key, typ in HOST_FIELDS.items():
+        v = host.get(key)
+        if not isinstance(v, typ) or isinstance(v, bool) or v in ("", 0):
+            fail(problems, path, f"runs[{label!r}]: host {key!r} must be a non-empty "
+                                 f"{typ.__name__}, got {v!r}")
+
+
 def check_file(problems, path):
     try:
         with open(path, encoding="utf-8") as f:
@@ -105,6 +128,7 @@ def check_file(problems, path):
 
     seen_labels = set()
     labels_in_order = []
+    hosts = {}  # label -> host fingerprint, or None for pre-fingerprint entries
     for i, run in enumerate(runs):
         if not isinstance(run, dict):
             fail(problems, path, f"runs[{i}] is not an object")
@@ -117,6 +141,9 @@ def check_file(problems, path):
             fail(problems, path, f"duplicate run label {label!r}")
         seen_labels.add(label)
         labels_in_order.append(label)
+        hosts[label] = run.get("host")
+        if "host" in run:
+            check_host(problems, path, label, run["host"])
         results = run.get("results")
         if not isinstance(results, list) or not results:
             fail(problems, path, f"runs[{label!r}] has no results")
@@ -130,6 +157,7 @@ def check_file(problems, path):
                 names.add(res["name"])
 
     check_pairing(problems, path, labels_in_order)
+    check_pair_hosts(problems, path, labels_in_order, hosts)
 
 
 def pair_prefix(label, marker):
@@ -165,6 +193,29 @@ def check_pairing(problems, path, labels):
                  f"required pair {prefix!r} is incomplete: missing "
                  f"{', '.join(prefix + '-' + m + '-*' for m in missing)} "
                  f"(REQUIRED_PAIR_PREFIXES in tools/check_bench_schema.py)")
+
+
+def check_pair_hosts(problems, path, labels, hosts):
+    """Both runs of a before/after pair must come from one host.  A pair
+    where neither side has a fingerprint predates it and is exempt; a pair
+    where only one side has it cannot be shown to share a host."""
+    befores = {}
+    for lab in labels:
+        prefix = pair_prefix(lab, "before")
+        if prefix is not None:
+            befores.setdefault(prefix, []).append(lab)
+    for lab in labels:
+        prefix = pair_prefix(lab, "after")
+        if prefix is None:
+            continue
+        for before in befores.get(prefix, []):
+            hb, ha = hosts.get(before), hosts.get(lab)
+            if hb is None and ha is None:
+                continue
+            if hb != ha:
+                fail(problems, path,
+                     f"pair {before!r} / {lab!r} was recorded on different hosts "
+                     f"({hb!r} vs {ha!r}): record both runs back to back on one host")
 
 
 def print_delta_table(path):
