@@ -31,14 +31,20 @@
 #include "app/kv_store.hpp"
 #include "app/testbed.hpp"
 #include "app/topology.hpp"
+#include "common/rng.hpp"
 #include "gcs/gcs.hpp"
 #include "net/network.hpp"
 #include "obs/recorder.hpp"
+#include "obs/trace.hpp"
 #include "replication/checkpoint_chain.hpp"
 #include "sim/parallel.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
 #include "totem/totem.hpp"
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 namespace {
 
@@ -391,6 +397,77 @@ void BM_ShardedGatewayOpsPerSec(benchmark::State& state) {
   state.counters["workers"] = static_cast<double>(cfg.threads);
 }
 BENCHMARK(BM_ShardedGatewayOpsPerSec)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// --- Observability bench -------------------------------------------------------
+
+// Heap bytes in use (glibc's allocator statistics; 0 elsewhere).
+std::size_t heap_in_use() {
+#if defined(__GLIBC__)
+  const struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+#else
+  return 0;
+#endif
+}
+
+// A stream shaped like a ctsim export: ~40% token passes, ~25% GCS
+// deliveries, the rest CCS rounds, skew samples and duplicate
+// suppression, on a 3-node ring with small time steps.
+std::vector<obs::TraceEvent> ctsim_shaped_trace(std::size_t n) {
+  Rng rng(13);
+  std::vector<obs::TraceEvent> out(n);
+  Micros at = 200'000;
+  std::int64_t seq = 0;
+  for (obs::TraceEvent& e : out) {
+    at += static_cast<Micros>(rng.below(60));
+    const auto node = static_cast<std::uint32_t>(rng.below(3));
+    const std::uint64_t pick = rng.below(100);
+    ++seq;
+    if (pick < 40) {
+      e = {at, obs::EventKind::kTokenPass, node, ReplicaId::kInvalid, seq / 3, 256, 0};
+    } else if (pick < 65) {
+      e = {at, obs::EventKind::kGcsDeliver, node, node, 1, seq / 9, 1001};
+    } else if (pick < 75) {
+      e = {at, obs::EventKind::kGcsSendCancelled, node, node, 5, seq / 9, 0};
+    } else if (pick < 85) {
+      e = {at, obs::EventKind::kCcsRoundStart, NodeId::kInvalid, node, 1, seq / 20, 0};
+    } else if (pick < 95) {
+      e = {at, obs::EventKind::kCcsRoundComplete, node, node, seq / 20, 0,
+           1'056'326'399'783'721 + at};
+    } else {
+      e = {at, obs::EventKind::kSkewSample, NodeId::kInvalid, node, rng.range(-300, 300),
+           seq / 20, 0};
+    }
+  }
+  return out;
+}
+
+// The always-on TraceLog's record() on a ctsim-shaped stream, drained
+// every 2^16 events the way perfbench drains between run slices.
+// items = events recorded, so ns/op is ns per event.  The
+// bytes_per_event counter is the heap one fresh log holds after a full
+// batch of the same stream.
+void BM_TraceRecord(benchmark::State& state) {
+  constexpr std::size_t kBatch = std::size_t{1} << 16;
+  const std::vector<obs::TraceEvent> trace = ctsim_shaped_trace(kBatch);
+  obs::TraceLog log;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const obs::TraceEvent& e = trace[i];
+    log.record(e.at, e.kind, e.node, e.replica, e.a, e.b, e.c);
+    if (++i == kBatch) {
+      i = 0;
+      log.clear();
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  const std::size_t heap_before = heap_in_use();
+  auto fresh = std::make_unique<obs::TraceLog>();
+  for (const obs::TraceEvent& e : trace) fresh->record(e.at, e.kind, e.node, e.replica, e.a, e.b, e.c);
+  state.counters["bytes_per_event"] =
+      static_cast<double>(heap_in_use() - heap_before) / static_cast<double>(kBatch);
+}
+BENCHMARK(BM_TraceRecord);
 
 // --- JSON trajectory writer ----------------------------------------------------
 

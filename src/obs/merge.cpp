@@ -15,7 +15,7 @@ namespace cts::obs {
 namespace {
 
 struct Tagged {
-  const TraceEvent* e;
+  TraceEvent e;
   std::size_t island;
   std::size_t pos;  // record order within the island
 };
@@ -28,20 +28,20 @@ std::string merged_trace_jsonl(const std::vector<Recorder*>& islands) {
   for (const Recorder* rec : islands) total += rec->trace().events().size();
   all.reserve(total);
   for (std::size_t i = 0; i < islands.size(); ++i) {
-    const auto& evs = islands[i]->trace().events();
-    for (std::size_t p = 0; p < evs.size(); ++p) all.push_back(Tagged{&evs[p], i, p});
+    std::size_t p = 0;
+    for (const TraceEvent& e : islands[i]->trace().events()) all.push_back(Tagged{e, i, p++});
   }
   // Each island's log is already non-decreasing in `at`; the canonical
   // total order is (at, island, within-island position).
   std::sort(all.begin(), all.end(), [](const Tagged& x, const Tagged& y) {
-    if (x.e->at != y.e->at) return x.e->at < y.e->at;
+    if (x.e.at != y.e.at) return x.e.at < y.e.at;
     if (x.island != y.island) return x.island < y.island;
     return x.pos < y.pos;
   });
 
   std::ostringstream out;
   for (const Tagged& t : all) {
-    const TraceEvent& e = *t.e;
+    const TraceEvent& e = t.e;
     out << "{\"at\": " << e.at << ", \"island\": " << t.island << ", \"kind\": \""
         << to_string(e.kind) << "\", \"node\": ";
     if (e.node == NodeId::kInvalid) {

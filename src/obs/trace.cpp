@@ -42,14 +42,49 @@ const char* to_string(EventKind k) {
   return "unknown";
 }
 
+void TraceLog::add_chunk() {
+  chunks_.push_back(std::make_unique_for_overwrite<std::uint8_t[]>(kChunkBytes));
+  cur_ = chunks_.back().get();
+  end_ = cur_ + kChunkBytes;
+}
+
+void TraceLog::Iterator::decode() {
+  if (kChunkBytes - offset_ < kMaxEventBytes) {  // the writer moved on here too
+    ++chunk_;
+    offset_ = 0;
+  }
+  const std::uint8_t* p = log_->chunks_[chunk_].get() + offset_;
+  auto varint = [&p] {
+    std::uint64_t v = 0;
+    for (unsigned shift = 0;; shift += 7) {
+      const std::uint8_t byte = *p++;
+      v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
+      if (byte < 0x80) return v;
+    }
+  };
+  auto unzigzag = [](std::uint64_t v) {
+    return static_cast<std::int64_t>((v >> 1) ^ (~(v & 1) + 1));
+  };
+  ev_.at = static_cast<Micros>(static_cast<std::uint64_t>(ev_.at) +
+                               static_cast<std::uint64_t>(unzigzag(varint())));
+  ev_.kind = static_cast<EventKind>(*p++);
+  ev_.node = static_cast<std::uint32_t>(varint()) - 1u;
+  ev_.replica = static_cast<std::uint32_t>(varint()) - 1u;
+  ev_.a = unzigzag(varint());
+  ev_.b = unzigzag(varint());
+  ev_.c = unzigzag(varint());
+  offset_ = static_cast<std::size_t>(p - log_->chunks_[chunk_].get());
+}
+
 std::size_t TraceLog::count(EventKind kind) const {
+  const Range evs = events();
   return static_cast<std::size_t>(std::count_if(
-      events_.begin(), events_.end(), [kind](const TraceEvent& e) { return e.kind == kind; }));
+      evs.begin(), evs.end(), [kind](const TraceEvent& e) { return e.kind == kind; }));
 }
 
 std::vector<TraceEvent> TraceLog::select(EventKind kind) const {
   std::vector<TraceEvent> out;
-  for (const auto& e : events_) {
+  for (const TraceEvent& e : events()) {
     if (e.kind == kind) out.push_back(e);
   }
   return out;
@@ -57,7 +92,7 @@ std::vector<TraceEvent> TraceLog::select(EventKind kind) const {
 
 std::string TraceLog::to_jsonl() const {
   std::ostringstream out;
-  for (const auto& e : events_) {
+  for (const TraceEvent& e : events()) {
     out << "{\"at\": " << e.at << ", \"kind\": \"" << to_string(e.kind) << "\", \"node\": ";
     if (e.node == NodeId::kInvalid) {
       out << "null";

@@ -4,10 +4,28 @@
 // seed produce byte-identical traces — tests can assert on *behavior*
 // ("no token retransmission happened in the loss-free run", "exactly one
 // synchronizer won round k") instead of only on final state.
+//
+// Storage is an append-only byte log in fixed 64 KiB chunks.  Each event
+// is encoded as
+//
+//   zigzag varint   at − previous event's at   (the first event's base is 0)
+//   one byte        kind
+//   varint          node + 1                   (kInvalid wraps to 0)
+//   varint          replica + 1                (kInvalid wraps to 0)
+//   zigzag varints  a, b, c
+//
+// An event never straddles two chunks, and chunks are never moved or
+// copied once allocated.  On the protocol traces ctsim exports this is
+// about 10 B per event instead of the 48 B of a TraceEvent, so a log at
+// its default cap of 2^19 events holds about 5 MiB rather than 24 MiB.
+// events() decodes on the fly; every exported byte is the same as if the
+// TraceEvents had been stored verbatim.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -68,27 +86,97 @@ struct TraceEvent {
   std::int64_t a = 0;
   std::int64_t b = 0;
   std::int64_t c = 0;
+
+  friend bool operator==(const TraceEvent&, const TraceEvent&) = default;
 };
 
 /// Append-only event log with a hard cap: once `max_events` are held, new
 /// events are counted in dropped() but not stored, so a long bench cannot
-/// grow without bound.  Tests that assert on the trace should also assert
-/// dropped() == 0.
+/// grow without bound.  The cap keeps the *head* of the run.  Tests that
+/// assert on the trace should also assert dropped() == 0.
 class TraceLog {
  public:
+  /// Bytes per storage chunk.
+  static constexpr std::size_t kChunkBytes = std::size_t{64} * 1024;
+
+  /// Decoding cursor over the stored events, in record order.  It yields
+  /// decoded copies; record() and clear() invalidate it.
+  class Iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = TraceEvent;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const TraceEvent*;
+    using reference = const TraceEvent&;
+
+    Iterator() = default;
+
+    const TraceEvent& operator*() const { return ev_; }
+    const TraceEvent* operator->() const { return &ev_; }
+    Iterator& operator++() {
+      if (++index_ < log_->size_) decode();
+      return *this;
+    }
+    void operator++(int) { ++*this; }
+    friend bool operator==(const Iterator& x, const Iterator& y) { return x.index_ == y.index_; }
+
+   private:
+    friend class TraceLog;
+    Iterator(const TraceLog* log, std::size_t index) : log_(log), index_(index) {
+      if (index_ < log_->size_) decode();
+    }
+    void decode();
+
+    const TraceLog* log_ = nullptr;
+    std::size_t index_ = 0;  // ordinal of ev_
+    std::size_t chunk_ = 0;  // where the next event starts
+    std::size_t offset_ = 0;
+    TraceEvent ev_;
+  };
+
+  /// The stored events as a range; see Iterator.
+  class Range {
+   public:
+    [[nodiscard]] Iterator begin() const { return Iterator(log_, 0); }
+    [[nodiscard]] Iterator end() const { return Iterator(log_, log_->size_); }
+    [[nodiscard]] std::size_t size() const { return log_->size_; }
+    [[nodiscard]] bool empty() const { return log_->size_ == 0; }
+
+   private:
+    friend class TraceLog;
+    explicit Range(const TraceLog* log) : log_(log) {}
+    const TraceLog* log_;
+  };
+
   explicit TraceLog(std::size_t max_events = 1u << 19) : max_events_(max_events) {}
+  // cur_ and end_ point into chunks_, so a moved-from log would still
+  // write into the chunk it gave away.  No owner moves its log.
+  TraceLog(const TraceLog&) = delete;
+  TraceLog& operator=(const TraceLog&) = delete;
 
   void record(Micros at, EventKind kind, std::uint32_t node, std::uint32_t replica,
               std::int64_t a = 0, std::int64_t b = 0, std::int64_t c = 0) {
     ++recorded_;
-    if (events_.size() >= max_events_) {
+    if (size_ >= max_events_) {
       ++dropped_;
       return;
     }
-    events_.push_back(TraceEvent{at, kind, node, replica, a, b, c});
+    if (static_cast<std::size_t>(end_ - cur_) < kMaxEventBytes) add_chunk();
+    std::uint8_t* p = cur_;
+    p = put_varint(p, zigzag(static_cast<std::int64_t>(static_cast<std::uint64_t>(at) -
+                                                       static_cast<std::uint64_t>(last_at_))));
+    *p++ = static_cast<std::uint8_t>(kind);
+    p = put_varint(p, static_cast<std::uint32_t>(node + 1u));
+    p = put_varint(p, static_cast<std::uint32_t>(replica + 1u));
+    p = put_varint(p, zigzag(a));
+    p = put_varint(p, zigzag(b));
+    p = put_varint(p, zigzag(c));
+    cur_ = p;
+    last_at_ = at;
+    ++size_;
   }
 
-  [[nodiscard]] const std::vector<TraceEvent>& events() const { return events_; }
+  [[nodiscard]] Range events() const { return Range(this); }
 
   /// Total record() calls, including dropped ones.
   [[nodiscard]] std::uint64_t recorded() const { return recorded_; }
@@ -102,8 +190,16 @@ class TraceLog {
   /// All stored events of the given kind, in record order.
   [[nodiscard]] std::vector<TraceEvent> select(EventKind kind) const;
 
+  /// Forget every event and reset the counters.  The first chunk stays
+  /// allocated, so a log drained and refilled in slices stops allocating.
   void clear() {
-    events_.clear();
+    if (!chunks_.empty()) {
+      chunks_.resize(1);
+      cur_ = chunks_[0].get();
+      end_ = cur_ + kChunkBytes;
+    }
+    last_at_ = 0;
+    size_ = 0;
     recorded_ = 0;
     dropped_ = 0;
   }
@@ -117,8 +213,29 @@ class TraceLog {
   bool write_jsonl(const std::string& path) const;
 
  private:
+  // Worst case: a 10-byte delta, the kind byte, two 5-byte ids and three
+  // 10-byte payloads.  A chunk with less room left than this is closed.
+  static constexpr std::size_t kMaxEventBytes = 10 + 1 + 5 + 5 + 3 * 10;
+
+  static std::uint64_t zigzag(std::int64_t v) {
+    return (static_cast<std::uint64_t>(v) << 1) ^ static_cast<std::uint64_t>(v >> 63);
+  }
+  static std::uint8_t* put_varint(std::uint8_t* p, std::uint64_t v) {
+    while (v >= 0x80) {
+      *p++ = static_cast<std::uint8_t>(v | 0x80);
+      v >>= 7;
+    }
+    *p++ = static_cast<std::uint8_t>(v);
+    return p;
+  }
+  void add_chunk();
+
   std::size_t max_events_;
-  std::vector<TraceEvent> events_;
+  std::vector<std::unique_ptr<std::uint8_t[]>> chunks_;
+  std::uint8_t* cur_ = nullptr;  // write position in chunks_.back()
+  std::uint8_t* end_ = nullptr;  // end of chunks_.back()
+  Micros last_at_ = 0;           // delta base for the next event
+  std::size_t size_ = 0;         // stored events
   std::uint64_t recorded_ = 0;
   std::uint64_t dropped_ = 0;
 };

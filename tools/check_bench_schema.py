@@ -14,6 +14,10 @@ hosts, so a before/after pair whose fingerprints differ is rejected.
 Entries recorded before the fingerprint existed have none and are exempt
 as long as both sides of their pair lack it.
 
+The recorded trajectory (a file named BENCH_sim_core.json) must also keep
+every before/after pair listed in REQUIRED_PAIR_PREFIXES.  Any other file,
+such as the one-entry output of a smoke run, is checked for shape only.
+
 With --delta, additionally print a per-benchmark delta table for the most
 recent '<prefix>-before-*' / '<prefix>-after-*' pair in each file (ns/op
 and items/s where present).  The table is informational: CI runs it as a
@@ -25,6 +29,7 @@ reported, not just the first).
 """
 
 import json
+import os
 import sys
 
 # Every benchmark name the trajectory may carry (arguments like
@@ -47,18 +52,24 @@ KNOWN_BENCHMARKS = frozenset({
     "BM_ScenarioSweep",
     # PR 9: sharded topology + gateway routing.
     "BM_ShardedGatewayOpsPerSec",
+    # Recording into the always-on TraceLog.
+    "BM_TraceRecord",
 })
 
 # Optimization PRs whose before/after pair is part of the recorded history:
-# the trajectory must keep BOTH runs of each listed prefix, so the delta
-# stays reconstructible forever (a later rewrite that drops one side fails
-# the gate).
+# the recorded trajectory must keep BOTH runs of each listed prefix, so the
+# delta stays reconstructible forever (a later rewrite that drops one side
+# fails the gate).  Only the file named RECORDED_TRAJECTORY is held to
+# this; a one-shot file such as CI's bench-smoke.json has no history.
 REQUIRED_PAIR_PREFIXES = frozenset({
     # PR 10: deterministic flat containers under the delivery pipeline.
     "pr10",
     # Stable-message discard in the Totem store (BM_RingBatchThroughput).
     "pr12",
+    # TraceLog stored as delta-varint chunks (BM_TraceRecord).
+    "pr13",
 })
+RECORDED_TRAJECTORY = "BENCH_sim_core.json"
 
 # The host fingerprint's fields and their types.
 HOST_FIELDS = {"nproc": int, "compiler": str, "build_type": str, "cpu": str}
@@ -156,7 +167,8 @@ def check_file(problems, path):
             if isinstance(res, dict) and isinstance(res.get("name"), str):
                 names.add(res["name"])
 
-    check_pairing(problems, path, labels_in_order)
+    check_pairing(problems, path, labels_in_order,
+                  required=os.path.basename(path) == RECORDED_TRAJECTORY)
     check_pair_hosts(problems, path, labels_in_order, hosts)
 
 
@@ -172,11 +184,12 @@ def pair_prefix(label, marker):
     return None
 
 
-def check_pairing(problems, path, labels):
+def check_pairing(problems, path, labels, required):
     """Every '<prefix>-after-*' run must ride with its '<prefix>-before-*'
     partner: an optimization PR that records only the after-number has lost
-    its baseline, and the trajectory can no longer show the delta.  The
-    prefixes in REQUIRED_PAIR_PREFIXES must be present as complete pairs."""
+    its baseline, and the trajectory can no longer show the delta.  When
+    `required`, the prefixes in REQUIRED_PAIR_PREFIXES must also be present
+    as complete pairs."""
     before_prefixes = {pair_prefix(lab, "before") for lab in labels}
     after_prefixes = {pair_prefix(lab, "after") for lab in labels}
     for lab in labels:
@@ -185,7 +198,7 @@ def check_pairing(problems, path, labels):
             fail(problems, path,
                  f"run label {lab!r} has no matching {prefix + '-before-*'!r} partner: "
                  f"record the baseline run before the optimized one")
-    for prefix in sorted(REQUIRED_PAIR_PREFIXES):
+    for prefix in sorted(REQUIRED_PAIR_PREFIXES if required else ()):
         missing = [m for m, seen in (("before", before_prefixes), ("after", after_prefixes))
                    if prefix not in seen]
         if missing:

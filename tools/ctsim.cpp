@@ -206,7 +206,8 @@ sim::Task kv_loop_sharded(Archipelago& ar, std::size_t r, const Options& o, Hist
   for (int i = 0; i < o.invocations; ++i) {
     co_await ar.ring(r).sim().delay(o.think_us);
     // Draw keys until the local/remote choice matches the configured mix.
-    const bool want_remote = map.rings() > 1 && rng.below(1000) < o.remote_fraction * 1000;
+    const bool want_remote =
+        map.rings() > 1 && static_cast<double>(rng.below(1000)) < o.remote_fraction * 1000;
     std::string key;
     do {
       key = "k" + std::to_string(rng.below(64));
