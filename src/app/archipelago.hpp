@@ -204,19 +204,15 @@ class Archipelago {
   Testbed& ring(std::size_t r) { return *rings_[r]; }
   sim::IslandCoordinator& coordinator() { return coord_; }
   net::InterIslandLink& link() { return link_; }
-  [[nodiscard]] sim::IslandId island_of(std::size_t r) const { return islands_[r]; }
   [[nodiscard]] const ShardMap& shard_map() const { return map_; }
 
   /// Ring r's gateway router (with_client topologies only).
   GatewayRouter& router(std::size_t r) { return *routers_[r]; }
 
-  /// Ring r's (globally unique) server group id.
-  [[nodiscard]] GroupId group_of(std::size_t r) const { return map_.server_group(r); }
-
-  /// Ring r's cross-ring stamped-message group.  Disjoint from group_of:
-  /// the ReplicaManagers subscribe to the server group and would execute a
-  /// stamped message delivered there as a garbage RMI request (and route
-  /// the spurious reply back across the link).
+  /// Ring r's cross-ring stamped-message group.  Disjoint from its server
+  /// group: the ReplicaManagers subscribe to the server group and would
+  /// execute a stamped message delivered there as a garbage RMI request
+  /// (and route the spurious reply back across the link).
   [[nodiscard]] GroupId xgroup_of(std::size_t r) const { return map_.cross_group(r); }
 
   /// Stamped inter-ring deliveries observed by ring r's replicas (one count

@@ -89,18 +89,13 @@ class GatewayRouter {
         scope_(&scope),
         rec_(rec),
         send_(std::move(send)),
-        c_misroutes_(&rec.counter("gateway.misroutes")),
         c_forwards_(&rec.counter("gateway.forwards")),
         c_fwd_served_(&rec.counter("gateway.fwd_served")) {}
-
-  /// After the gateway node's process is rebuilt (restart), point the
-  /// router at the fresh client.  Outstanding forwards stay pending.
-  void rebind_client(orb::RmiClient& client) { client_ = &client; }
 
   /// Route a client request.  If the ShardMap says this ring owns the key
   /// (or the request is not a recognizable keyed request — STATS, COUNT,
   /// and friends are served locally), invoke the local replicated server;
-  /// otherwise count the misroute, forward to the owning ring, and relay
+  /// otherwise count the forward, send it to the owning ring, and relay
   /// its reply to `done`.
   void route(Bytes request, ReplyFn done) {
     const auto owner = map_.owner_of_kv_request(request);
@@ -108,7 +103,6 @@ class GatewayRouter {
       client_->invoke(std::move(request), std::move(done));
       return;
     }
-    ++*c_misroutes_;
     ++*c_forwards_;
     const std::uint64_t id = ++next_fwd_id_;
     rec_.event(obs::EventKind::kGatewayForward, NodeId{0}, ReplicaId{},
@@ -159,7 +153,6 @@ class GatewayRouter {
     if (done) done(reply);
   }
 
-  [[nodiscard]] std::size_t pending_forwards() const { return pending_.size(); }
   [[nodiscard]] std::size_t ring() const { return ring_; }
 
  private:
@@ -173,7 +166,6 @@ class GatewayRouter {
   std::uint64_t next_fwd_id_ = 0;
   // Counter handles resolved once at construction; route()/on_fwd_request()
   // run per client request and must not pay a by-name map lookup.
-  obs::Counter* c_misroutes_;
   obs::Counter* c_forwards_;
   obs::Counter* c_fwd_served_;
 };

@@ -7,7 +7,7 @@
 // header is the single place that wiring is DECLARED: which groups live on
 // which ring, how keys and sessions map onto rings, which connection ids
 // and stamp streams the cross-ring protocols use, and how per-ring seeds
-// are derived.  Testbed/Archipelago/ctsim/ctsweep/bench all consume the
+// are derived.  Testbed/Archipelago/ctsim/bench all consume the
 // same ShardMap instead of hand-building per-ring constants, so a topology
 // change (more rings, more replicas) is one struct edit, not a sweep over
 // five call sites.
@@ -154,7 +154,7 @@ class ShardMap {
 
   /// Keyspace sharding: FNV-1a over the key bytes, mod ring count.  The
   /// KV store partitions its keyspace by this map; a request for a key
-  /// owned elsewhere is a gateway misroute.
+  /// owned elsewhere is forwarded by the gateway.
   [[nodiscard]] std::size_t shard_of_key(std::string_view key) const {
     std::uint32_t h = 2166136261u;
     for (const char c : key) {
@@ -178,7 +178,7 @@ class ShardMap {
 
   /// Owning ring of an encoded KV request (u8 op, str key, ...), or
   /// nullopt if the buffer is not a parseable KV request.  The gateway
-  /// router uses this to detect misroutes without depending on KvStoreApp.
+  /// router uses this to find remote keys without depending on KvStoreApp.
   [[nodiscard]] std::optional<std::size_t> owner_of_kv_request(
       std::span<const std::uint8_t> request) const {
     try {

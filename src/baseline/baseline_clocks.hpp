@@ -1,11 +1,10 @@
 // Baseline clock services the paper argues against (Section 1).
 //
-// 1. LocalClockService — every replica answers clock-related operations
-//    from its own physical hardware clock.  Trivially fast and trivially
-//    inconsistent: replicas processing the same request return different
-//    values, which breaks replica determinism.
+// Local clocks — every replica answering from its own hardware clock,
+// trivially fast and trivially inconsistent — are modelled at the
+// application level by app::LocalTimeServerApp (app/time_server.hpp).
 //
-// 2. PrimaryBackupClockService — the prior-art approach of [9] and [3]:
+// 1. PrimaryBackupClockService — the prior-art approach of [9] and [3]:
 //    the primary reads its physical hardware clock and conveys the value to
 //    the backups through the ordered multicast; backups adopt it.  This
 //    solves per-reading consensus, but when the primary crashes the new
@@ -14,7 +13,7 @@
 //    or jump far forward (the clock roll-back / fast-forward anomalies the
 //    paper's introduction describes).
 //
-// 3. NtpDisciplinedClock — a software clock slewed toward an external
+// 2. NtpDisciplinedClock — a software clock slewed toward an external
 //    drift-free reference, modeling "closely synchronizing the physical
 //    hardware clocks using NTP/GPS" (Section 1).  Used to show that the
 //    primary/backup anomaly shrinks but does not disappear, and that even
@@ -35,18 +34,6 @@
 #include "sim/task_scope.hpp"
 
 namespace cts::baseline {
-
-/// Answers every clock-related operation from the local hardware clock.
-class LocalClockService {
- public:
-  explicit LocalClockService(clock::PhysicalClock& clk) : clock_(clk) {}
-
-  /// Immediate, local, inconsistent.
-  [[nodiscard]] Micros read() const { return clock_.read(); }
-
- private:
-  clock::PhysicalClock& clock_;
-};
 
 /// The primary/backup clock-distribution approach of [9]: the primary's raw
 /// physical clock reading is multicast; backups adopt it.  No offsets, no

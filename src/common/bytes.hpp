@@ -49,11 +49,6 @@ class SharedBytes {
         data_(owner_->data()),
         size_(owner_->size()) {}
 
-  /// Materialize an owning SharedBytes from any contiguous byte range.
-  static SharedBytes copy_of(std::span<const std::uint8_t> s) {
-    return SharedBytes(Bytes(s.begin(), s.end()));
-  }
-
   [[nodiscard]] const std::uint8_t* data() const { return data_; }
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }

@@ -316,8 +316,6 @@ class ConsistentTimeService {
   /// trampolines here so they die with the node.
   [[nodiscard]] sim::TaskScope& scope() { return scope_; }
   [[nodiscard]] Micros clock_offset() const { return my_clock_offset_; }
-  /// Current online estimate of the per-round delay (kAdaptiveMeanDelay).
-  [[nodiscard]] double estimated_round_delay() const { return estimated_round_delay_us_; }
   [[nodiscard]] Micros last_group_clock() const { return last_group_clock_; }
   [[nodiscard]] const CtsStats& stats() const { return stats_; }
   [[nodiscard]] const CtsConfig& config() const { return cfg_; }

@@ -92,9 +92,7 @@ class GroupTimerService {
   /// polling resumes on the next schedule_* call.
   void stop() { running_ = false; }
 
-  [[nodiscard]] std::size_t armed() const { return timers_.size(); }
   [[nodiscard]] std::uint64_t fired() const { return fired_; }
-  [[nodiscard]] Micros last_fire_time() const { return last_fire_time_; }
 
  private:
   struct Key {
@@ -122,7 +120,6 @@ class GroupTimerService {
       while (!timers_.empty() && timers_.begin()->first.deadline <= now) {
         auto node = timers_.extract(timers_.begin());
         ++fired_;
-        last_fire_time_ = now;
         node.mapped()(now);
       }
       if (timers_.empty()) break;
@@ -146,7 +143,6 @@ class GroupTimerService {
   TimerId next_id_ = 1;
   bool running_ = false;
   std::uint64_t fired_ = 0;
-  Micros last_fire_time_ = kNoTime;
 };
 
 }  // namespace cts::ccs

@@ -89,11 +89,6 @@ class InterIslandLink {
 
   [[nodiscard]] Micros latency() const { return cfg_.latency_us; }
 
-  /// Per-source-island counters.  Read between runs (not during an epoch).
-  [[nodiscard]] const LinkStats& stats_of(sim::IslandId island) const {
-    return stats_[island];
-  }
-
   /// Sum over all islands.  Read between runs.
   [[nodiscard]] LinkStats total_stats() const {
     LinkStats t;

@@ -69,11 +69,6 @@ class MetricsRegistry {
     return it->second;
   }
 
-  [[nodiscard]] std::int64_t gauge(std::string_view name) const {
-    auto it = gauges_.find(name);
-    return it == gauges_.end() ? 0 : it->second;
-  }
-
   /// Get-or-create a histogram timer.  bin_width/max_value apply only on
   /// creation; later calls with the same name return the existing instance.
   Histogram& histogram(std::string_view name, Micros bin_width, Micros max_value) {
@@ -82,11 +77,6 @@ class MetricsRegistry {
       it = histograms_.try_emplace(std::string(name), bin_width, max_value).first;
     }
     return it->second;
-  }
-
-  [[nodiscard]] const Histogram* find_histogram(std::string_view name) const {
-    auto it = histograms_.find(name);
-    return it == histograms_.end() ? nullptr : &it->second;
   }
 
   [[nodiscard]] bool empty() const {

@@ -524,7 +524,15 @@ void ReplicaManager::take_periodic_checkpoint() {
   m.hdr.dst_grp = cfg_.group;
   m.hdr.conn = cfg_.state_conn;
   m.hdr.tag = kPeriodicStateTag;
-  m.hdr.seq = ++checkpoint_seq_;
+  // The seq is the covered-request count, not a per-replica counter: GCS
+  // drops a kState whose seq is not above the last one delivered on this
+  // stream, and the stream outlives any one primary.  One primary's seqs
+  // rise because it processes at least one request between checkpoints.  A
+  // successor (a promoted backup, or a restarted replica that is first in
+  // the view again) starts from the checkpoint it applied last and
+  // processes at least one more request before its first send, so that
+  // send covers strictly more requests than the checkpoint it applied.
+  m.hdr.seq = processed_count_;
   m.hdr.sender_replica = cfg_.replica;
   m.payload = chained_checkpoint();
   const auto ckpt_bytes = m.payload.size();

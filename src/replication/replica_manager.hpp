@@ -241,7 +241,6 @@ class ReplicaManager {
   std::deque<gcs::Message> reply_cache_;
   static constexpr std::size_t kReplyCacheSize = 32;
   std::uint32_t since_checkpoint_ = 0;
-  std::uint64_t checkpoint_seq_ = 0;   // seq for periodic kState messages
   // Hash-chained checkpoint history (newest last).  Extended whenever a
   // checkpoint is taken; adopted wholesale when one is applied, so the
   // serving replica's history continues at the recovered replica.

@@ -102,7 +102,6 @@ class IslandCoordinator {
     return id;
   }
 
-  [[nodiscard]] std::size_t island_count() const { return islands_.size(); }
   [[nodiscard]] Micros window_floor() const { return floor_; }
   [[nodiscard]] const Stats& stats() const { return stats_; }
 

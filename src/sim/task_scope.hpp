@@ -151,9 +151,6 @@ class TaskScope {
   /// as cancelled timers, not here.
   [[nodiscard]] std::uint64_t frames_destroyed_on_shutdown() const { return frames_destroyed_; }
 
-  /// Tracked ids not yet pruned (diagnostic; an upper bound on live timers).
-  [[nodiscard]] std::size_t tracked() const { return live_.size(); }
-
  private:
   struct Hook {
     HookId id;

@@ -85,7 +85,7 @@ TEST(TopologyTest, KeyAndSessionPlacementIsStableAndInRange) {
     EXPECT_LT(s2, map.rings());
   }
   // All shards of a 16-ring map are actually reachable from small key sets
-  // (the router sweep in ctsweep depends on this).
+  // (ctsim's multi-ring KV client draws its keys from k0..k63).
   std::set<std::size_t> hit;
   for (int i = 0; i < 200; ++i) hit.insert(map.shard_of_key("k" + std::to_string(i)));
   EXPECT_EQ(hit.size(), map.rings());
