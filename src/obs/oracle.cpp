@@ -240,18 +240,6 @@ void OrderingOracle::note_cross_shard(std::uint32_t src_group, std::uint32_t dst
   if (src_group == GroupId::kInvalid || src_group == dst_group) return;
   ++cross_shard_total_;
   ++*c_cross_shard_;
-  ++cross_pairs_[pack_u32_pair(src_group, dst_group)];
-}
-
-OrderingOracle::CrossShardEdge OrderingOracle::worst_cross_shard_edge() const {
-  CrossShardEdge worst;
-  for (const auto& [key, count] : cross_pairs_) {
-    if (count > worst.violations) {
-      worst = CrossShardEdge{static_cast<std::uint32_t>(key >> 32),
-                             static_cast<std::uint32_t>(key & 0xffffffffu), count};
-    }
-  }
-  return worst;
 }
 
 void OrderingOracle::on_ccs_send(GroupId grp, ReplicaId replica, ThreadId thread, MsgSeqNum round,

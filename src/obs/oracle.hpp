@@ -161,14 +161,8 @@ class OrderingOracle {
 
   /// Causal-floor violations whose floor was raised by a DIFFERENT group's
   /// stamp — the cross-shard causality metric ROADMAP item 1 gates on
-  /// (must be zero).  The per-pair view gives the worst (src, dst) edge.
+  /// (must be zero).
   [[nodiscard]] std::uint64_t cross_shard_violations() const { return cross_shard_total_; }
-  struct CrossShardEdge {
-    std::uint32_t src_group = GroupId::kInvalid;
-    std::uint32_t dst_group = GroupId::kInvalid;
-    std::uint64_t violations = 0;
-  };
-  [[nodiscard]] CrossShardEdge worst_cross_shard_edge() const;
 
   static const char* check_name(Check c);
 
@@ -279,11 +273,6 @@ class OrderingOracle {
   std::uint64_t checks_run_ = 0;
   std::uint64_t violations_total_ = 0;
   std::uint64_t cross_shard_total_ = 0;
-  // (src << 32 | dst group) -> cross-shard causal-floor violations; the
-  // packed key iterates in the same lexicographic (src, dst) order as the
-  // pair-keyed map it replaces, preserving worst_cross_shard_edge's
-  // first-wins tie-break.
-  FlatMap<std::uint64_t, std::uint64_t> cross_pairs_;
   std::uint64_t violations_by_check_[kCheckCount] = {};
   std::vector<Violation> log_;
 

@@ -20,15 +20,6 @@ std::string Recorder::summary() {
   return out.str();
 }
 
-bool Recorder::export_files(const std::string& metrics_path,
-                            const std::string& trace_path) {
-  sync_sim_stats();
-  bool ok = true;
-  if (!metrics_path.empty()) ok = metrics_.write_json(metrics_path) && ok;
-  if (!trace_path.empty()) ok = trace_.write_jsonl(trace_path) && ok;
-  return ok;
-}
-
 int export_from_env(Recorder& rec, const std::string& label) {
   rec.sync_sim_stats();
   int written = 0;

@@ -54,15 +54,11 @@ class Recorder {
   /// Text summary of metrics plus per-kind trace tallies.
   [[nodiscard]] std::string summary();
 
-  /// Write metrics.json / trace.jsonl.  Empty path skips that file.
-  /// Returns true if every requested write succeeded.
-  bool export_files(const std::string& metrics_path, const std::string& trace_path);
-
   /// Pull the simulator's own statistics into the registry, so exports and
   /// summaries carry the engine's view of the run:
   ///   sim.events_executed (counter) — events fired since construction;
   ///   sim.queue_depth (gauge)       — live pending events at export time.
-  /// Called by summary()/export_files(); cheap and idempotent.  The counter
+  /// Called by summary() and the exports; cheap and idempotent.  The counter
   /// and gauge slots are resolved once (stable node references) so repeated
   /// syncs skip the by-name map walk entirely.
   void sync_sim_stats() {

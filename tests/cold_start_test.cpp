@@ -4,19 +4,11 @@
 
 #include "app/kv_store.hpp"
 #include "app/testbed.hpp"
+#include "testbed_util.hpp"
 #include "storage/stable_store.hpp"
 
 namespace cts::app {
 namespace {
-
-bool run_until(Testbed& tb, const std::function<bool()>& pred, Micros budget) {
-  const Micros deadline = tb.sim().now() + budget;
-  while (tb.sim().now() < deadline) {
-    tb.sim().run_until(tb.sim().now() + 10'000);
-    if (pred()) return true;
-  }
-  return pred();
-}
 
 sim::Task drive(Testbed& tb, int n, std::vector<Micros>& stamps, bool* done = nullptr) {
   for (int i = 0; i < n; ++i) {
@@ -35,20 +27,6 @@ TestbedConfig durable_cfg(std::uint64_t seed = 1) {
   cfg.seed = seed;
   return cfg;
 }
-
-// The lifecycle-scope fail-stop tripwire: no server may read its hardware
-// clock while crashed (scope shutdown cancels every timer and destroys
-// every suspended frame the node owned, so nothing is left to read it).
-// RAII so every test exit path checks it.
-struct FailStopCheck {
-  Testbed& tb;
-  ~FailStopCheck() {
-    for (std::uint32_t s = 0; s < tb.server_count(); ++s) {
-      EXPECT_EQ(tb.clock_of(tb.server_node(s)).reads_after_failure(), 0u)
-          << "server " << s << " read its clock while crashed";
-    }
-  }
-};
 
 // --- StableStore unit tests -----------------------------------------------------
 

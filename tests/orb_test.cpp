@@ -3,21 +3,13 @@
 #include <gtest/gtest.h>
 
 #include "app/testbed.hpp"
+#include "testbed_util.hpp"
 
 namespace cts::orb {
 namespace {
 
 using app::Testbed;
 using app::TestbedConfig;
-
-bool run_until(Testbed& tb, const std::function<bool()>& pred, Micros budget) {
-  const Micros deadline = tb.sim().now() + budget;
-  while (tb.sim().now() < deadline) {
-    tb.sim().run_until(tb.sim().now() + 10'000);
-    if (pred()) return true;
-  }
-  return pred();
-}
 
 TEST(RmiClientTest, InvokeReceivesReply) {
   Testbed tb({});

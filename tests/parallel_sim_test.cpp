@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "app/archipelago.hpp"
+#include "app/kv_store.hpp"
 #include "obs/merge.hpp"
 #include "sim/parallel.hpp"
 
@@ -172,12 +173,14 @@ struct ArchRun {
   std::string metrics;
   std::uint64_t deliveries = 0;
   std::uint64_t egress = 0;
+  std::uint64_t forwards = 0;
 };
 
 // Build a 3-ring archipelago, drive cross-ring stamped traffic (with an
-// optional loss + crash/restart schedule on ring 1), and export the merged
-// observability documents.
-ArchRun arch_run(std::uint64_t seed, unsigned threads, bool faults) {
+// optional loss + crash/restart schedule on ring 1, and optionally KV puts
+// through every ring's gateway), and export the merged observability
+// documents.
+ArchRun arch_run(std::uint64_t seed, unsigned threads, bool faults, bool kv = false) {
   app::ArchipelagoConfig cfg;
   cfg.topo.rings = 3;
   cfg.topo.servers = 3;
@@ -185,6 +188,14 @@ ArchRun arch_run(std::uint64_t seed, unsigned threads, bool faults) {
   cfg.threads = threads;
   cfg.link_latency_us = 800;
   if (faults) cfg.net.loss_probability = 0.01;
+  if (kv) {
+    cfg.app = [](const app::ShardMap& map, std::size_t ring) {
+      app::KvStoreApp::Options kopt;
+      kopt.shard_map = &map;
+      kopt.ring = ring;
+      return app::kv_store_factory(kopt);
+    };
+  }
   app::Archipelago ar(cfg);
 
   // Ring 1 echoes every stamped delivery back to ring 0 (replica 0 only,
@@ -205,6 +216,15 @@ ArchRun arch_run(std::uint64_t seed, unsigned threads, bool faults) {
     ar.ring(1).sim().at(900'000, [&ar] { ar.crash_server(1, 2); });
     ar.ring(1).sim().at(1'400'000, [&ar] { ar.restart_server(1, 2); });
   }
+  // Each ring's gateway puts keys of every ring, so some requests are
+  // forwarded to their owner over the link.
+  for (std::size_t r = 0; kv && r < 3; ++r) {
+    for (int k = 0; k < 8; ++k) {
+      ar.ring(r).sim().at(600'000 + 120'000 * k + 9'000 * static_cast<Micros>(r), [&ar, r, k] {
+        ar.router(r).route(app::kv_put("k" + std::to_string(k), "v"), [](const Bytes&) {});
+      });
+    }
+  }
   ar.run_until(3'000'000);
 
   ArchRun out;
@@ -212,26 +232,33 @@ ArchRun arch_run(std::uint64_t seed, unsigned threads, bool faults) {
   out.metrics = obs::merged_metrics_json(ar.recorders());
   for (std::size_t r = 0; r < ar.ring_count(); ++r) {
     out.deliveries += ar.stamped_deliveries(r);
+    out.forwards += ar.ring(r).recorder().counter("gateway.forwards").value;
   }
   out.egress = ar.link().total_stats().frames_sent;
   return out;
 }
 
 TEST(ArchipelagoDeterminism, SerialAndParallelByteIdentical) {
-  // Four seeds; the last two add loss plus a crash/restart schedule.  Each
+  // Five seeds; the last three add loss plus a crash/restart schedule, and
+  // the last one KV traffic through the gateways.  Each
   // seed's serial run is the reference; 2- and 4-worker runs must match it
   // byte for byte, trace and metrics both, with the oracle on and aborting
   // (Testbed default) in every mode.
   struct Case {
     std::uint64_t seed;
     bool faults;
+    bool kv;
   };
-  for (const Case cs : {Case{11, false}, Case{22, false}, Case{33, true}, Case{44, true}}) {
-    const ArchRun ref = arch_run(cs.seed, 1, cs.faults);
+  for (const Case cs : {Case{11, false, false}, Case{22, false, false}, Case{33, true, false},
+                        Case{44, true, false}, Case{55, true, true}}) {
+    const ArchRun ref = arch_run(cs.seed, 1, cs.faults, cs.kv);
     ASSERT_GT(ref.deliveries, 0u) << "seed " << cs.seed;
     ASSERT_GT(ref.egress, 0u) << "seed " << cs.seed;
+    if (cs.kv) {
+      ASSERT_GT(ref.forwards, 0u) << "seed " << cs.seed;
+    }
     for (unsigned threads : {2u, 4u}) {
-      const ArchRun par = arch_run(cs.seed, threads, cs.faults);
+      const ArchRun par = arch_run(cs.seed, threads, cs.faults, cs.kv);
       EXPECT_EQ(par.trace, ref.trace) << "seed " << cs.seed << " threads " << threads;
       EXPECT_EQ(par.metrics, ref.metrics) << "seed " << cs.seed << " threads " << threads;
       EXPECT_EQ(par.deliveries, ref.deliveries)

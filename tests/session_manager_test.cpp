@@ -4,6 +4,7 @@
 
 #include "app/session_manager.hpp"
 #include "app/testbed.hpp"
+#include "testbed_util.hpp"
 
 namespace cts::app {
 namespace {
@@ -26,16 +27,8 @@ struct SessionBed {
   }
 
   SessionReply call(Bytes request, Micros budget = 30'000'000) {
-    SessionReply out;
-    bool done = false;
-    tb.client().invoke(std::move(request), [&](const Bytes& r) {
-      out = SessionReply::parse(r);
-      done = true;
-    });
-    const Micros deadline = tb.sim().now() + budget;
-    while (!done && tb.sim().now() < deadline) tb.sim().run_until(tb.sim().now() + 10'000);
-    EXPECT_TRUE(done) << "request timed out";
-    return out;
+    const Bytes r = call_and_wait(tb, std::move(request), budget);
+    return r.empty() ? SessionReply{} : SessionReply::parse(r);
   }
 
   SessionManagerApp& app(std::uint32_t s) {

@@ -6,6 +6,7 @@
 
 #include "app/kv_store.hpp"
 #include "app/testbed.hpp"
+#include "testbed_util.hpp"
 
 namespace cts::app {
 namespace {
@@ -29,16 +30,8 @@ struct ShardedKv {
   }
 
   KvReply call(Bytes request, Micros budget = 30'000'000) {
-    KvReply out;
-    bool done = false;
-    tb.client().invoke(std::move(request), [&](const Bytes& r) {
-      out = KvReply::parse(r);
-      done = true;
-    });
-    const Micros deadline = tb.sim().now() + budget;
-    while (!done && tb.sim().now() < deadline) tb.sim().run_until(tb.sim().now() + 10'000);
-    EXPECT_TRUE(done) << "request timed out";
-    return out;
+    const Bytes r = call_and_wait(tb, std::move(request), budget);
+    return r.empty() ? KvReply{} : KvReply::parse(r);
   }
 
   KvStoreApp& shard_app(std::uint32_t server, std::uint32_t shard) {
