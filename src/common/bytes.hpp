@@ -116,6 +116,11 @@ inline std::uint64_t load_u64le(const std::uint8_t* p) {
   return v;
 }
 
+/// 8-byte store, the same bytes BytesWriter::u64 appends (checkpoint-chain
+/// links hash a header from a stack buffer).  `p` must point at 8
+/// writable bytes.
+inline void store_u64le(std::uint8_t* p, std::uint64_t v) { std::memcpy(p, &v, sizeof(v)); }
+
 /// FNV-1a over a byte range, starting at offset `from`.  The 32-bit flavor
 /// seals packet envelopes (Totem's magic+checksum header); the 64-bit
 /// flavor links checkpoint-chain headers (see src/replication).  `seed`

@@ -49,14 +49,15 @@ struct CheckpointHeader {
 
 /// The link value: fnv1a64 over the serialized (upto, digest, parent), so
 /// a header can neither be reordered nor altered without breaking every
-/// later link.
+/// later link.  The 24 bytes are laid out as BytesWriter::u64 would write
+/// them, in a stack buffer: a verifier computes one link per header.
 [[nodiscard]] inline std::uint64_t chain_link(std::uint64_t upto, std::uint64_t digest,
                                               std::uint64_t parent) {
-  BytesWriter w;
-  w.u64(upto);
-  w.u64(digest);
-  w.u64(parent);
-  return fnv1a64(w.data());
+  std::uint8_t buf[24];
+  store_u64le(buf, upto);
+  store_u64le(buf + 8, digest);
+  store_u64le(buf + 16, parent);
+  return fnv1a64(buf);
 }
 
 /// Append a header covering `upto` requests of `snapshot` to `chain`,
