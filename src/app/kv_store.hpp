@@ -7,8 +7,16 @@
 // clocks, one replica grants a lease another replica still considers held,
 // and the copies of the store diverge.  KvStoreApp answers every such
 // question with the GROUP clock, so all replicas make identical lease
-// decisions, and lease expiry (driven by GroupTimerService) fires at the
-// same logical instant everywhere.
+// decisions.
+//
+// Expiry is lazy.  The app keeps its live leases ordered by deadline, and
+// every request that reads the group clock (ACQUIRE, and PUT/DEL on a
+// leased key) reads it once, first expires every lease whose deadline that
+// reading has passed, and only then decides.  Each expiry therefore sits
+// at one request's position in the agreed stream, the same position at
+// every replica.  A poll thread (cts/group_timers.hpp) would not do: the
+// CCS round makes its readings agree, but its effects land between
+// different requests at different replicas.
 //
 // Operations (all requests arrive in agreed total order):
 //   PUT key value [owner]   — write; fails if the key is leased to someone
@@ -28,10 +36,11 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <tuple>
 
 #include "app/topology.hpp"
-#include "cts/group_timers.hpp"
 #include "cts/multigroup.hpp"
 #include "cts/time_syscalls.hpp"
 #include "gcs/gcs.hpp"
@@ -86,8 +95,6 @@ struct KvReply {
 class KvStoreApp : public replication::Replica {
  public:
   struct Options {
-    /// Lease-expiry sweep granularity for the deterministic timers.
-    Micros timer_poll_us = 1'000;
     /// Sharded deployment (nullptr = single-ring; no handoff stream is
     /// built and the app behaves exactly as before).  When set, the app
     /// opens a CausalMessenger on the ShardMap's KV handoff stream for
@@ -122,9 +129,20 @@ class KvStoreApp : public replication::Replica {
     std::uint64_t lease_grant = 0;  // distinguishes successive leases
   };
 
+  /// (deadline, grant, key) of one live lease.
+  using Deadline = std::tuple<Micros, std::uint64_t, std::string>;
+
   sim::Task serve(SharedBytes request, std::function<void(Bytes)> done);
   [[nodiscard]] bool lease_blocks(const Entry& e, std::uint64_t owner, Micros now) const;
-  void arm_expiry(const std::string& key, std::uint64_t grant, Micros expiry);
+  /// Keep `deadlines_` equal to the set of live leases: call unindex before
+  /// a lease changes or its entry goes, index after one is granted.
+  void index_lease(const std::string& key, const Entry& e);
+  void unindex_lease(const std::string& key, const Entry& e);
+  /// Replace (or create) `key`'s entry, keeping the deadline index exact.
+  void install(const std::string& key, Entry e);
+  /// Expire every lease whose deadline is at or below `now`, a group-clock
+  /// reading the current request just took.
+  void expire_due(Micros now);
   /// Destination side of a handoff: install the stamped record.  Runs in
   /// agreed delivery order, AFTER the causal floor was raised to the
   /// transfer stamp — so any reading taken after adoption exceeds it.
@@ -132,10 +150,10 @@ class KvStoreApp : public replication::Replica {
 
   replication::ReplicaContext& ctx_;
   ccs::TimeSyscalls sys_;
-  ccs::GroupTimerService timers_;
   Options opt_;
 
   std::map<std::string, Entry> entries_;
+  std::set<Deadline> deadlines_;  // live leases, earliest first
   std::uint64_t grant_counter_ = 0;
   std::uint64_t leases_expired_ = 0;
 

@@ -132,7 +132,14 @@ INSTANTIATE_TEST_SUITE_P(
                       FuzzParam{205, 1, replication::ReplicationStyle::kSemiActive},
                       FuzzParam{206, 2, replication::ReplicationStyle::kSemiActive},
                       FuzzParam{207, 1, replication::ReplicationStyle::kActive},
-                      FuzzParam{208, 4, replication::ReplicationStyle::kActive}),
+                      FuzzParam{208, 4, replication::ReplicationStyle::kActive},
+                      // Two shards finishing out of request order: replies
+                      // shared one GCS dedup stream, and the client dropped
+                      // the earlier one as a duplicate.
+                      FuzzParam{305, 2, replication::ReplicationStyle::kSemiActive},
+                      FuzzParam{306, 2, replication::ReplicationStyle::kSemiActive},
+                      FuzzParam{317, 2, replication::ReplicationStyle::kActive},
+                      FuzzParam{319, 2, replication::ReplicationStyle::kActive}),
     [](const ::testing::TestParamInfo<FuzzParam>& i) {
       const char* style =
           i.param.style == replication::ReplicationStyle::kActive ? "active" : "semiactive";

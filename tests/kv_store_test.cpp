@@ -129,17 +129,25 @@ TEST(KvStoreTest, ReleaseByNonOwnerFails) {
 TEST(KvStoreTest, ExpiredLeaseCanBeTakenOver) {
   KvBed kv;
   ASSERT_EQ(kv.call(kv_acquire("lock", 1, /*ttl=*/20'000)).status, KvStatus::kOk);
-  // Wait past the ttl in simulated time; the deterministic timers fire.
+  // Wait past the ttl in simulated time; the acquire's own clock reading
+  // expires the old lease before it decides.
   kv.tb.sim().run_for(100'000);
   EXPECT_EQ(kv.call(kv_acquire("lock", 2, 1'000'000)).status, KvStatus::kOk);
   kv.expect_replicas_identical();
 }
 
+// Expiry is lazy: a deadline that has passed takes effect at the next
+// request that reads the group clock, at the same stream position at every
+// replica.
 TEST(KvStoreTest, TimersExpireLeasesIdenticallyAtAllReplicas) {
   KvBed kv;
   kv.call(kv_acquire("a", 1, 15'000));
   kv.call(kv_acquire("b", 2, 25'000));
   kv.tb.sim().run_for(200'000);
+  for (std::uint32_t s = 0; s < 3; ++s) {
+    EXPECT_EQ(kv.app(s).leases_expired(), 0u) << "replica " << s << ": nothing read the clock";
+  }
+  ASSERT_EQ(kv.call(kv_acquire("c", 3, 10'000'000)).status, KvStatus::kOk);
   for (std::uint32_t s = 0; s < 3; ++s) {
     EXPECT_EQ(kv.app(s).leases_expired(), 2u) << "replica " << s;
   }
@@ -151,7 +159,30 @@ TEST(KvStoreTest, ReleasedLeaseTimerDoesNotFireLater) {
   kv.call(kv_acquire("lock", 1, 30'000));
   kv.call(kv_release("lock", 1));
   kv.tb.sim().run_for(200'000);
-  EXPECT_EQ(kv.app(0).leases_expired(), 0u);
+  // A clock reading past the released lease's deadline expires nothing.
+  ASSERT_EQ(kv.call(kv_acquire("other", 2, 10'000'000)).status, KvStatus::kOk);
+  for (std::uint32_t s = 0; s < 3; ++s) {
+    EXPECT_EQ(kv.app(s).leases_expired(), 0u) << "replica " << s;
+  }
+}
+
+// GET and a PUT on an unleased key read no clock, so they expire nothing;
+// the next request that does read it expires the lease before deciding.
+TEST(KvStoreTest, RequestsWithoutAClockReadingDoNotExpireLeases) {
+  KvBed kv;
+  kv.call(kv_put("k", "v"));
+  ASSERT_EQ(kv.call(kv_acquire("k", 1, 20'000)).status, KvStatus::kOk);
+  kv.tb.sim().run_for(100'000);
+  EXPECT_EQ(kv.call(kv_get("k")).status, KvStatus::kOk);
+  EXPECT_EQ(kv.call(kv_put("unleased", "x")).status, KvStatus::kOk);
+  for (std::uint32_t s = 0; s < 3; ++s) {
+    EXPECT_EQ(kv.app(s).leases_expired(), 0u) << "replica " << s;
+  }
+  EXPECT_EQ(kv.call(kv_put("k", "w", /*owner=*/2)).status, KvStatus::kOk);
+  for (std::uint32_t s = 0; s < 3; ++s) {
+    EXPECT_EQ(kv.app(s).leases_expired(), 1u) << "replica " << s;
+  }
+  kv.expect_replicas_identical();
 }
 
 TEST(KvStoreTest, MixedWorkloadKeepsReplicasIdentical) {

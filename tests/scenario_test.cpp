@@ -94,5 +94,34 @@ TEST(ScenarioRegressionTest, RejoinedPassivePrimaryDoesNotReuseCheckpointSeqs) {
   }
 }
 
+// The KV app expired leases from a poll thread, whose CCS round made its
+// readings agree but applied each expiry between different requests at
+// different replicas; PUT/DEL then read the clock at one replica and not at
+// another.  Ring 4 of this run ended inconsistent and the oracle was silent.
+TEST(ScenarioRegressionTest, ShardedKvLeaseExpiryKeepsReplicasConsistent) {
+  const ScenarioArgs a =
+      parse({"--topology", "16x3", "--kv", "--invocations", "1000", "--seed", "39"});
+  ASSERT_TRUE(a.error.empty()) << a.error;
+  const ScenarioResult r = run_scenario(a.spec);
+  EXPECT_TRUE(r.consistent) << r.report;
+  EXPECT_TRUE(r.ok()) << r.report;
+  EXPECT_EQ(r.replies, 16'000u);
+}
+
+// The same poll thread in a passive KV group: a restarted replica's poll
+// rounds diverged from the group's on the thread's CCS stream, and the
+// oracle aborted on the payload divergence.
+TEST(ScenarioRegressionTest, PassiveKvRejoinKeepsOneClockStream) {
+  for (const char* seed : {"2", "3", "4", "11"}) {
+    const ScenarioArgs a =
+        parse({"--style", "passive", "--kv", "--think", "50", "--crash", "0@300ms", "--recover",
+               "0@400ms", "--invocations", "800", "--seed", seed});
+    ASSERT_TRUE(a.error.empty()) << a.error;
+    const ScenarioResult r = run_scenario(a.spec);
+    EXPECT_TRUE(r.ok()) << "seed " << seed << "\n" << r.report;
+    EXPECT_EQ(r.replies, 800u) << "seed " << seed;
+  }
+}
+
 }  // namespace
 }  // namespace cts::app

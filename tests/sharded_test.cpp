@@ -85,10 +85,27 @@ TEST(ShardedTest, LeasesWorkPerShardWithDistinctClockThreads) {
     ASSERT_EQ(kv.call(kv_acquire("lock" + std::to_string(i), 1, 20'000)).status, KvStatus::kOk);
   }
   kv.tb.sim().run_for(300'000);
+  // Each shard expires its leases at its next clock reading: one acquire
+  // per shard, on a key of that shard.
+  std::set<std::uint32_t> swept;
+  for (int i = 0; swept.size() < 4 && i < 1000; ++i) {
+    const std::string k = "probe" + std::to_string(i);
+    gcs::Message m;
+    m.payload = kv_acquire(k, 2, 10'000'000);
+    if (!swept.insert(kv_shard_of(m) % 4).second) continue;
+    ASSERT_EQ(kv.call(kv_acquire(k, 2, 10'000'000)).status, KvStatus::kOk);
+  }
+  ASSERT_EQ(swept.size(), 4u);
   // Every lease expired, identically at all replicas and shards.
-  std::uint64_t expired = 0;
-  for (std::uint32_t sh = 0; sh < 4; ++sh) expired += kv.shard_app(0, sh).leases_expired();
-  EXPECT_EQ(expired, 8u);
+  for (std::uint32_t s = 0; s < 3; ++s) {
+    std::uint64_t expired = 0;
+    for (std::uint32_t sh = 0; sh < 4; ++sh) {
+      expired += kv.shard_app(s, sh).leases_expired();
+      EXPECT_EQ(kv.shard_app(s, sh).leases_expired(), kv.shard_app(0, sh).leases_expired())
+          << "server " << s << " shard " << sh;
+    }
+    EXPECT_EQ(expired, 8u) << "server " << s;
+  }
   kv.expect_all_shards_identical();
 }
 
