@@ -7,6 +7,13 @@
 // comes from the group clock, so all replicas agree on which sessions
 // exist at every logical point, across failover and recovery.
 //
+// Reaping is lazy, as in KvStoreApp.  Every request whose reply depends on
+// which sessions are live (all but a malformed one) reads the group clock
+// first, and that reading first reaps every session and batch whose
+// deadline it has reached.  Each reap therefore sits at one request's
+// position in the agreed stream, the same at every replica; no poll thread
+// runs.
+//
 // Operations (ordered requests):
 //   OPEN ttl                → new session id (deterministic), expiry stamp
 //   TOUCH id                → extend the session's idle deadline
@@ -26,9 +33,9 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <utility>
 
 #include "app/topology.hpp"
-#include "cts/group_timers.hpp"
 #include "cts/id_gen.hpp"
 #include "cts/multigroup.hpp"
 #include "cts/time_syscalls.hpp"
@@ -103,10 +110,10 @@ class SessionManagerApp : public replication::Replica {
   struct Session {
     Micros ttl = 0;
     Micros last_activity = 0;  // group time
-    std::uint64_t epoch = 0;   // distinguishes successive reap timers
+    std::uint64_t epoch = 0;   // distinguishes successive deadlines
   };
   /// A bulk-ingested batch: `count` synthetic sessions with consecutive
-  /// ids [base_id, base_id + count), one record and one reap timer for all
+  /// ids [base_id, base_id + count), one record and one deadline for all
   /// of them.  O(batches) memory is what makes millions of sessions per
   /// ring affordable; members answer QUERY but not TOUCH/CLOSE.
   struct Batch {
@@ -116,20 +123,36 @@ class SessionManagerApp : public replication::Replica {
     std::uint64_t epoch = 0;
   };
 
+  /// (deadline, epoch): epochs are unique across sessions and batches.
+  using DeadlineKey = std::pair<Micros, std::uint64_t>;
+  /// What a deadline reaps: a session, or a batch by its base id.
+  struct Due {
+    std::uint64_t id = 0;
+    bool batch = false;
+  };
+
   sim::Task serve(SharedBytes request, std::function<void(Bytes)> done);
-  void arm_reaper(std::uint64_t id, std::uint64_t epoch, Micros deadline);
-  void arm_batch_reaper(std::uint64_t base_id, std::uint64_t epoch, Micros deadline);
+  /// Keep `deadlines_` equal to the live sessions and batches: unindex a
+  /// session before its deadline changes or it goes, index it after.
+  void index(std::uint64_t id, const Session& s);
+  void index(std::uint64_t base_id, const Batch& b);
+  void unindex(const Session& s);
+  /// Replace (or create) session `id`, keeping the deadline index exact.
+  void install(std::uint64_t id, const Session& s);
+  /// Reap everything whose deadline is at or below `now`, a group-clock
+  /// reading the current request just took.
+  void reap_due(Micros now);
   void adopt_handoff(const gcs::Message& m, Micros stamp, const Bytes& record);
   [[nodiscard]] const Batch* batch_of(std::uint64_t id, std::uint64_t* base) const;
 
   replication::ReplicaContext& ctx_;
   ccs::TimeSyscalls sys_;
-  ccs::GroupTimerService timers_;
   ccs::ConsistentIdGenerator ids_;
   Options opt_;
 
   std::map<std::uint64_t, Session> sessions_;
   std::map<std::uint64_t, Batch> batches_;  // by base id
+  std::map<DeadlineKey, Due> deadlines_;    // live sessions and batches, earliest first
   std::uint64_t batched_ = 0;               // sum of live batch counts
   std::uint64_t epoch_counter_ = 0;
   std::uint64_t reaped_ = 0;

@@ -74,6 +74,10 @@ class ConsistentIdGenerator {
   }
 
   [[nodiscard]] std::uint64_t minted() const { return counter_; }
+  /// Continue from a checkpointed minted() count.  The count is part of the
+  /// ids, so a replica restored from a checkpoint must resume the group's
+  /// count, not start again from 0.
+  void restore_minted(std::uint64_t n) { counter_ = n; }
 
  private:
   ConsistentTimeService& time_;

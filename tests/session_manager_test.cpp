@@ -69,10 +69,16 @@ TEST(SessionManagerTest, CloseTerminates) {
   EXPECT_EQ(sb.call(session_close(open.session_id)).status, SessionStatus::kUnknownSession);
 }
 
+// Reaping is lazy: an idle session outlives its deadline until the next
+// request reads the group clock, which reaps it at the same stream position
+// at every replica before deciding.
 TEST(SessionManagerTest, IdleSessionIsReapedAtTheSameGroupTimeEverywhere) {
   SessionBed sb;
   const auto open = sb.call(session_open(20'000));
   sb.tb.sim().run_for(200'000);
+  for (std::uint32_t s = 0; s < 3; ++s) {
+    EXPECT_EQ(sb.app(s).sessions_reaped(), 0u) << "replica " << s << ": nothing read the clock";
+  }
   EXPECT_EQ(sb.call(session_query(open.session_id)).status, SessionStatus::kUnknownSession);
   for (std::uint32_t s = 0; s < 3; ++s) {
     EXPECT_EQ(sb.app(s).sessions_reaped(), 1u) << "replica " << s;
@@ -132,6 +138,50 @@ TEST(SessionManagerTest, SurvivesRecoveryWithLiveSessions) {
   EXPECT_EQ(sb.call(session_query(keep.session_id)).status, SessionStatus::kOk);
   EXPECT_EQ(sb.call(session_query(doomed.session_id)).status, SessionStatus::kUnknownSession);
   sb.expect_identical();
+}
+
+// Short sessions keep expiring while a replica crashes, restarts and takes
+// a state transfer; every replica must end with the same sessions and the
+// same reap count.  A restarted replica used to mint ids from a generator
+// count of 0, so sessions opened after its restart had other ids there.
+TEST(SessionManagerTest, SessionTtlsStayConsistentAcrossCrashAndRestart) {
+  SessionBed sb(5);
+  FailStopCheck fail_stop{sb.tb};
+  std::vector<std::uint64_t> ids;
+  int answered = 0;
+  auto issue = [&](int i) {
+    Bytes req;
+    if (i % 3 == 0 || ids.empty()) {
+      req = session_open(5'000 + 3'000 * (i % 7));
+    } else if (i % 3 == 1) {
+      req = session_touch(ids[static_cast<std::size_t>(i) % ids.size()]);
+    } else {
+      req = session_query(ids[static_cast<std::size_t>(i) % ids.size()]);
+    }
+    sb.tb.client().invoke(std::move(req), [&](const Bytes& r) {
+      ++answered;
+      const SessionReply rep = SessionReply::parse(r);
+      if (rep.status == SessionStatus::kOk && rep.session_id != 0) ids.push_back(rep.session_id);
+    });
+  };
+  bool recovered = false;
+  for (int i = 0; i < 120; ++i) {
+    if (i == 30) sb.tb.crash_server(1);
+    if (i == 60) sb.tb.restart_server(1, [&] { recovered = true; });
+    issue(i);
+    sb.tb.sim().run_for(2'000);
+  }
+  ASSERT_TRUE(run_until(sb.tb, [&] { return recovered && answered == 120; }, 300'000'000));
+  // The restarted replica mints the same id as the others: the id
+  // generator's count travels in the checkpoint.
+  EXPECT_EQ(sb.call(session_open(60'000'000)).status, SessionStatus::kOk);
+  EXPECT_GT(sb.call(session_count()).live_count, 0u);
+  sb.tb.sim().run_for(2'000'000);
+  for (std::uint32_t s = 1; s < 3; ++s) {
+    EXPECT_EQ(sb.app(s).state_digest(), sb.app(0).state_digest()) << "replica " << s;
+    EXPECT_EQ(sb.app(s).sessions_reaped(), sb.app(0).sessions_reaped()) << "replica " << s;
+  }
+  EXPECT_GT(sb.app(0).sessions_reaped(), 0u);
 }
 
 TEST(SessionManagerTest, FailoverKeepsSessionDecisionsConsistent) {
