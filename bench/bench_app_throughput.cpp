@@ -118,7 +118,7 @@ int main() {
       "token rotation — but under ACTIVE replication the proposal competition hides\n"
       "almost all of it (some replica's token visit is always imminent), while a single\n"
       "proposer (semi-active primary / passive primary) pays the full wait.  The time-\n"
-      "server rows also include its simulated per-request ORB processing delay.  The\n"
-      "extra ccs_rounds beyond 1/request are the lease-expiry timer polls.\n");
+      "server rows also include its simulated per-request ORB processing delay.  Lease\n"
+      "expiry adds no rounds: it rides on the acquiring request's own clock reading.\n");
   return 0;
 }

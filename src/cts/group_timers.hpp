@@ -8,14 +8,23 @@
 // at different logical points at different replicas — a backup might abort
 // a transaction the primary committed.
 //
-// GroupTimerService fixes this by expressing deadlines in GROUP time and
-// by checking them with group-clock readings: a dedicated logical thread
-// periodically performs a clock-related operation (one CCS round) and
-// fires every timer whose deadline the reading has passed, in (deadline,
-// id) order.  Because the readings are identical at every replica and
-// timers are scheduled from the same ordered request stream, every replica
-// fires the same timers in the same order with the same observed time —
-// timeouts become part of the replicated state machine.
+// GroupTimerService expresses deadlines in GROUP time and checks them with
+// group-clock readings: a dedicated logical thread periodically performs a
+// clock-related operation (one CCS round) and fires every timer whose
+// deadline the reading has passed, in (deadline, id) order.  Every replica
+// fires the same timers in the same order with the same observed time.
+//
+// It does NOT place the timers' effects at one point of the ordered
+// request stream.  The poll thread runs beside the processing thread, so a
+// timer's effect lands between different requests at different replicas.
+// State that requests read (leases, sessions) must not be changed from
+// here: KvStoreApp and SessionManagerApp once did, and their replicas
+// diverged.  The supported pattern for such state is a lazy deadline: keep
+// the deadlines ordered, and let every request that reads the group clock
+// first apply each deadline its reading has passed, then decide (see
+// app/kv_store.hpp).  The service stays for examples/transaction_timeouts
+// and tests/services_test.cpp, whose timers touch no state that requests
+// read.
 //
 // Cost: one CCS round per poll while running (amortized across all armed
 // timers).  The service stops polling automatically while no timers are

@@ -54,7 +54,8 @@ class RmiClient {
   /// of the paper's motivating clock uses): if no reply arrives in time,
   /// `on_timeout` fires instead and a late reply is discarded.  The timer
   /// here is the CLIENT's — the client is unreplicated, so its local clock
-  /// is safe to use; replicated SERVERS must use GroupTimerService.
+  /// is safe to use; replicated SERVERS must use group-clock deadlines
+  /// (see app/kv_store.hpp).
   MsgSeqNum invoke(Bytes request, ReplyFn on_reply, Micros timeout_us = 0,
                    TimeoutFn on_timeout = nullptr);
 
