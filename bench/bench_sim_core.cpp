@@ -292,6 +292,15 @@ BENCHMARK(BM_StateTransferVerify);
 // construction (doc/PARALLEL.md); only wall-clock may move, and it only
 // moves when the host actually has spare cores.
 
+// The coordinator's barrier counts over the whole run, per epoch: how often
+// a thread gave up spinning and slept, and how many islands ran on a thread
+// other than their owner.  Host-dependent, so only benches report them.
+void barrier_counters(benchmark::State& state, const sim::IslandCoordinator::Stats& st) {
+  const double epochs = st.epochs == 0 ? 1.0 : static_cast<double>(st.epochs);
+  state.counters["parks_per_epoch"] = static_cast<double>(st.parks) / epochs;
+  state.counters["steals_per_epoch"] = static_cast<double>(st.steals) / epochs;
+}
+
 // Events/sec across a 4-ring archipelago with a perpetual cross-ring
 // stamped-message relay.  items = simulator events executed (all islands).
 void BM_ArchipelagoEventsPerSec(benchmark::State& state) {
@@ -319,6 +328,7 @@ void BM_ArchipelagoEventsPerSec(benchmark::State& state) {
   for (std::size_t r = 0; r < kRings; ++r) ev1 += ar.ring(r).sim().events_executed();
   state.SetItemsProcessed(static_cast<std::int64_t>(ev1 - ev0));
   state.counters["workers"] = static_cast<double>(cfg.threads);
+  barrier_counters(state, ar.coordinator().stats());
 }
 // UseRealTime: with a worker pool the calling thread mostly waits at the
 // barrier, so the CPU-time default would inflate items/sec by exactly the
@@ -395,6 +405,7 @@ void BM_ShardedGatewayOpsPerSec(benchmark::State& state) {
   }
   state.counters["forwards"] = static_cast<double>(forwards);
   state.counters["workers"] = static_cast<double>(cfg.threads);
+  barrier_counters(state, ar.coordinator().stats());
 }
 BENCHMARK(BM_ShardedGatewayOpsPerSec)->Unit(benchmark::kMillisecond)->UseRealTime();
 

@@ -28,22 +28,45 @@
 // test in tests/parallel_sim_test.cpp; doc/PARALLEL.md has the full
 // argument).
 //
-// Threading model: islands are pinned to workers (island i runs on worker
-// i % threads for the life of the run), worker 0 being the coordinating
-// thread itself, so threads == 1 spawns nothing and executes the islands
-// in index order on the caller — the exact serial path.  Mailbox cells are
-// (src, dst) pairs written only by src's worker during an epoch and read
-// only by the coordinator at the barrier; the barrier's mutex establishes
-// the happens-before edges, so the whole scheme is data-race-free (the TSan
-// CI leg runs the parallel suite at CTS_SIM_THREADS=4).
+// Threading model: worker 0 is the coordinating thread itself, so
+// threads == 1 spawns nothing and executes the islands in index order on
+// the caller — the exact serial path.  With n > 1 threads, worker w owns
+// islands w, w + n, w + 2n, ...: each epoch it runs its own islands first,
+// then steals any island no thread has started yet.  A per-island epoch
+// stamp, claimed with a compare-and-swap that only moves it forward, makes
+// every island run on exactly one thread per epoch.  Which thread runs an
+// island never changes the schedule: the island's events depend only on
+// its heap and the window.
+//
+// There is no mutex.  The coordinator writes the window and sets the
+// pending count to the number of islands, then publishes the epoch with a
+// seq_cst increment of the generation counter.  Each thread acquires the
+// generation, runs the islands it claims, and subtracts their number from
+// pending (seq_cst); the coordinator acquires pending == 0 and only then
+// drains the mailboxes.  That chain (pending release -> pending acquire ->
+// drain -> generation release -> generation acquire) orders every island
+// access in epoch e + 1, and every drain into an island's heap, after
+// every access in epoch e, whichever threads made them.  The epoch waits
+// for islands, not for workers: a worker that is descheduled before it
+// claims anything holds nobody up, and when it wakes its stale generation
+// can claim nothing.  Mailbox cell (src, dst) is written during an epoch
+// only by the thread running src, and read only by the drain.
+//
+// Each waiter (a worker for the next generation, the coordinator for
+// pending == 0) spins kSpinIters `pause` iterations — a few epochs' worth
+// — then parks in std::atomic::wait.  With more threads than hardware
+// threads, spinning only takes cycles from the thread being waited for,
+// so waiters park at once.  The TSan CI leg runs the parallel suite at
+// CTS_SIM_THREADS=4 and 8, and its tests pin counts up to 8, so both wait
+// paths stay data-race-free.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cassert>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -76,6 +99,11 @@ class IslandCoordinator {
     std::uint64_t epochs = 0;          // barrier windows executed
     std::uint64_t posts = 0;           // cross-island messages posted
     std::uint64_t events_executed = 0; // events fired under the coordinator
+    // Barrier behaviour.  Both depend on how the host schedules threads,
+    // not on the simulated schedule, so they are never exported to metrics
+    // or traces (whose bytes must not depend on the host).
+    std::uint64_t parks = 0;   // waits that stopped spinning and slept
+    std::uint64_t steals = 0;  // islands run by a thread other than their owner
   };
 
   /// `window_floor_us` is the minimum latency of every cross-island post —
@@ -96,9 +124,9 @@ class IslandCoordinator {
     assert(!running_started_ && "add_island after the first run_until");
     const auto id = static_cast<IslandId>(islands_.size());
     islands_.push_back(&sim);
-    post_seq_.push_back(0);
     const std::size_t k = islands_.size();
     mail_ = std::vector<std::vector<Entry>>(k * k);
+    claims_ = std::vector<Claim>(k);
     return id;
   }
 
@@ -114,8 +142,8 @@ class IslandCoordinator {
   [[nodiscard]] unsigned threads() const { return requested_threads_; }
 
   /// Post `fn` to run on island `dst` at absolute (destination) time
-  /// `deliver_at`.  Must be called from island `src`'s execution (its
-  /// worker thread, during an epoch, or any single-threaded setup phase
+  /// `deliver_at`.  Must be called from island `src`'s execution (the
+  /// thread running it, during an epoch, or any single-threaded setup phase
   /// outside run_until), and the delivery must respect the window floor:
   /// deliver_at >= src.now() + window_floor().  The callable must own its
   /// captures — it is executed (or destroyed unfired) on another thread.
@@ -126,7 +154,6 @@ class IslandCoordinator {
            "cross-island delivery below the conservative window floor");
     auto& cell = mail_[src * islands_.size() + dst];
     cell.push_back(Entry{deliver_at, InlineFn(std::forward<F>(fn))});
-    ++post_seq_[src];
   }
 
   /// Run every island up to and including virtual time `t` (the multi-island
@@ -211,9 +238,28 @@ class IslandCoordinator {
     InlineFn fn;
   };
 
+  /// Per-island epoch state, one cache line each so an owner's claim does
+  /// not contend with a thief's scan.
+  struct alignas(64) Claim {
+    std::atomic<std::uint64_t> gen{0};  // last generation the island ran in
+    std::uint64_t fired = 0;            // events it fired then
+  };
+
   static constexpr Micros kInf = std::numeric_limits<Micros>::max();
 
+  /// `pause` iterations a waiter spins before it parks: about 125 us on a
+  /// 4-core Xeon (15 ns per pause), a few epochs of the 16-ring workloads.
+  static constexpr unsigned kSpinIters = 1u << 13;
+
   static Micros sat_add(Micros a, Micros b) { return a > kInf - b ? kInf : a + b; }
+
+  static void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield" ::: "memory");
+#endif
+  }
 
   /// Schedule all queued cross-island messages into their destination heaps
   /// in canonical (src, post order) order — dst-side sequence numbers (the
@@ -243,25 +289,92 @@ class IslandCoordinator {
       return;
     }
     in_epoch_ = true;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      window_ = w;
-      workers_pending_ = static_cast<unsigned>(workers_.size());
-      ++generation_;
-    }
-    cv_work_.notify_all();
-    // Worker 0 is this thread: islands 0, n, 2n, ...
-    std::uint64_t fired = 0;
-    for (std::size_t i = 0; i < islands_.size(); i += n) {
-      fired += islands_[i]->run_events_before(w);
-    }
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      cv_done_.wait(lk, [&] { return workers_pending_ == 0; });
-      stats_.events_executed += fired + worker_fired_;
-      worker_fired_ = 0;
-    }
+    window_ = w;
+    pending_.store(static_cast<unsigned>(islands_.size()), std::memory_order_relaxed);
+    // seq_cst, not just release: the increment must be ordered before
+    // notify_all's check for parked waiters.
+    const std::uint64_t gen = generation_.fetch_add(1, std::memory_order_seq_cst) + 1;
+    generation_.notify_all();
+    run_share(0, n, gen);
+    await_islands();
+    for (const Claim& c : claims_) stats_.events_executed += c.fired;
+    stats_.parks = parks_.load(std::memory_order_relaxed);
+    stats_.steals = steals_.load(std::memory_order_relaxed);
     in_epoch_ = false;
+  }
+
+  /// Thread `id`'s part of epoch `gen`: its own islands (id, id + n, ...)
+  /// first, then, from the highest index down, any island no thread has
+  /// claimed yet — the ones its owner would reach last.
+  void run_share(unsigned id, unsigned n, std::uint64_t gen) {
+    unsigned ran = 0;
+    for (std::size_t i = id; i < islands_.size(); i += n) {
+      if (claim(i, gen)) {
+        run_island(i);
+        ++ran;
+      }
+    }
+    for (std::size_t i = islands_.size(); i-- > 0;) {
+      if (i % n != id && claim(i, gen)) {
+        run_island(i);
+        ++ran;
+        steals_.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    // seq_cst for the same reason as the generation increment.
+    if (ran != 0 && pending_.fetch_sub(ran, std::memory_order_seq_cst) == ran) {
+      pending_.notify_one();
+    }
+  }
+
+  /// True for exactly one caller per island per epoch.  The stamp only
+  /// moves forward, so a worker that wakes after its epoch ended claims
+  /// nothing.
+  bool claim(std::size_t island, std::uint64_t gen) {
+    std::atomic<std::uint64_t>& g = claims_[island].gen;
+    std::uint64_t cur = g.load(std::memory_order_relaxed);
+    while (cur < gen) {
+      if (g.compare_exchange_weak(cur, gen, std::memory_order_acq_rel,
+                                  std::memory_order_relaxed)) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// Run a claimed island.  The epoch cannot end before this island does,
+  /// so window_ still holds this epoch's window.
+  void run_island(std::size_t i) { claims_[i].fired = islands_[i]->run_events_before(window_); }
+
+  /// Worker side of the barrier: wait for a generation other than `seen`.
+  std::uint64_t await_generation(std::uint64_t seen) {
+    std::uint64_t g = generation_.load(std::memory_order_acquire);
+    for (unsigned i = 0; g == seen && spin_ && i < kSpinIters; ++i) {
+      cpu_relax();
+      g = generation_.load(std::memory_order_acquire);
+    }
+    if (g != seen) return g;
+    parks_.fetch_add(1, std::memory_order_relaxed);
+    do {
+      generation_.wait(seen, std::memory_order_acquire);
+      g = generation_.load(std::memory_order_acquire);
+    } while (g == seen);
+    return g;
+  }
+
+  /// Coordinator side of the barrier: wait until every island has run.
+  void await_islands() {
+    unsigned p = pending_.load(std::memory_order_acquire);
+    for (unsigned i = 0; p != 0 && spin_ && i < kSpinIters; ++i) {
+      cpu_relax();
+      p = pending_.load(std::memory_order_acquire);
+    }
+    if (p == 0) return;
+    parks_.fetch_add(1, std::memory_order_relaxed);
+    do {
+      pending_.wait(p, std::memory_order_acquire);
+      p = pending_.load(std::memory_order_acquire);
+    } while (p != 0);
   }
 
   [[nodiscard]] unsigned effective_threads() const {
@@ -275,42 +388,28 @@ class IslandCoordinator {
     stop_workers();
     spawned_threads_ = want;
     if (want <= 1) return;
-    stop_ = false;
+    stop_.store(false, std::memory_order_relaxed);
+    spin_ = want <= std::thread::hardware_concurrency();
+    // A new worker waits for the next generation, never one it missed.
+    const std::uint64_t current = generation_.load(std::memory_order_relaxed);
     for (unsigned id = 1; id < want; ++id) {
-      workers_.emplace_back([this, id, want] { worker_loop(id, want); });
+      workers_.emplace_back([this, id, want, current] { worker_loop(id, want, current); });
     }
   }
 
-  void worker_loop(unsigned id, unsigned n) {
-    std::uint64_t seen = 0;
+  void worker_loop(unsigned id, unsigned n, std::uint64_t seen) {
     for (;;) {
-      Micros w;
-      {
-        std::unique_lock<std::mutex> lk(mu_);
-        cv_work_.wait(lk, [&] { return stop_ || generation_ != seen; });
-        if (stop_) return;
-        seen = generation_;
-        w = window_;
-      }
-      std::uint64_t fired = 0;
-      for (std::size_t i = id; i < islands_.size(); i += n) {
-        fired += islands_[i]->run_events_before(w);
-      }
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        worker_fired_ += fired;
-        if (--workers_pending_ == 0) cv_done_.notify_one();
-      }
+      seen = await_generation(seen);
+      if (stop_.load(std::memory_order_relaxed)) return;
+      run_share(id, n, seen);
     }
   }
 
   void stop_workers() {
     if (workers_.empty()) return;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      stop_ = true;
-    }
-    cv_work_.notify_all();
+    stop_.store(true, std::memory_order_relaxed);
+    generation_.fetch_add(1, std::memory_order_seq_cst);
+    generation_.notify_all();
     for (std::thread& th : workers_) th.join();
     workers_.clear();
   }
@@ -318,28 +417,29 @@ class IslandCoordinator {
   Micros floor_;
   Micros now_ = 0;
   std::vector<Simulator*> islands_;
-  std::vector<std::vector<Entry>> mail_;     // mail_[src * K + dst]
-  std::vector<std::uint64_t> post_seq_;      // per-src post counter
+  std::vector<std::vector<Entry>> mail_;  // mail_[src * K + dst]
+  std::vector<Claim> claims_;             // per island
   Stats stats_;
   bool running_started_ = false;
   bool in_epoch_ = false;
-
-  unsigned requested_threads_ = 1;
-  unsigned spawned_threads_ = 1;
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  Micros window_ = 0;
 
   // step() epoch cursor: the open window (0 = none) and the island the next
   // single-step resumes at.  Serial-only state; see step().
   Micros step_window_ = 0;
   std::size_t step_island_ = 0;
-  std::uint64_t generation_ = 0;
-  unsigned workers_pending_ = 0;
-  std::uint64_t worker_fired_ = 0;
-  bool stop_ = false;
+
+  unsigned requested_threads_ = 1;
+  unsigned spawned_threads_ = 1;
+  bool spin_ = false;  // threads <= hardware threads: spin before parking
+  // Written only before a generation increment; read only by a thread
+  // holding a claim in that generation (which the epoch waits for).
+  Micros window_ = 0;
+  std::atomic<std::uint64_t> generation_{0};
+  std::atomic<unsigned> pending_{0};  // islands yet to run this epoch
+  std::atomic<bool> stop_{false};
+  std::atomic<std::uint64_t> parks_{0};
+  std::atomic<std::uint64_t> steals_{0};
+  std::vector<std::thread> workers_;  // after everything the workers use
 };
 
 }  // namespace cts::sim

@@ -85,73 +85,106 @@ TEST(IslandCoordinator, MailboxDrainsInCanonicalSourceOrder) {
   }
 }
 
-// A chatty 4-island workload: every island runs a periodic local chain and
-// every third tick posts a message to the next island, which logs it and
-// schedules a local follow-up.  Returns the merged (time, island, label)
-// log, which must be identical for every worker count.
-std::vector<std::string> chatty_run(unsigned threads) {
-  constexpr int kIslands = 4;
-  constexpr Micros kFloor = 700;
-  std::vector<Simulator> sims;
-  sims.reserve(kIslands);
-  for (int i = 0; i < kIslands; ++i) sims.emplace_back(static_cast<std::uint64_t>(i + 1));
-  IslandCoordinator coord(kFloor);
-  std::vector<IslandId> ids;
-  for (auto& s : sims) ids.push_back(coord.add_island(s));
-  coord.set_threads(threads);
+// A chatty workload: every island runs a periodic local chain and every
+// third tick posts a message to the next island, which logs it and
+// schedules a local follow-up.  merged_log() returns the (island, time,
+// label) log, which must be identical for every worker count.
+class Chatty {
+ public:
+  static constexpr Micros kFloor = 700;
 
-  // Per-island logs; island i's log is written only by island i's events.
-  std::vector<std::vector<std::pair<Micros, int>>> logs(kIslands);
+  explicit Chatty(int islands) : coord_(kFloor), logs_(static_cast<std::size_t>(islands)) {
+    sims_.reserve(logs_.size());
+    for (int i = 0; i < islands; ++i) sims_.emplace_back(static_cast<std::uint64_t>(i + 1));
+    for (auto& s : sims_) ids_.push_back(coord_.add_island(s));
+    for (int i = 0; i < islands; ++i) sim(i).at(10 + i, [this, i] { tick(i, 1); });
+  }
 
-  struct Driver {
-    IslandCoordinator* coord;
-    std::vector<Simulator>* sims;
-    std::vector<IslandId>* ids;
-    std::vector<std::vector<std::pair<Micros, int>>>* logs;
+  void run_until(unsigned threads, Micros t) {
+    coord_.set_threads(threads);
+    coord_.run_until(t);
+  }
 
-    void tick(int island, int k) {
-      auto& sim = (*sims)[static_cast<std::size_t>(island)];
-      (*logs)[static_cast<std::size_t>(island)].push_back({sim.now(), k});
-      if (k % 3 == 0) {
-        const int dst = (island + 1) % kIslands;
-        coord->post((*ids)[static_cast<std::size_t>(island)],
-                    (*ids)[static_cast<std::size_t>(dst)], sim.now() + kFloor,
-                    [this, dst, k] {
-                      (*logs)[static_cast<std::size_t>(dst)].push_back(
-                          {(*sims)[static_cast<std::size_t>(dst)].now(), 1000 + k});
-                      (*sims)[static_cast<std::size_t>(dst)].after(
-                          37, [this, dst, k] {
-                            (*logs)[static_cast<std::size_t>(dst)].push_back(
-                                {(*sims)[static_cast<std::size_t>(dst)].now(), 2000 + k});
-                          });
-                    });
-      }
-      if (k < 40) {
-        sim.after(101 + 13 * (island + 1), [this, island, k] { tick(island, k + 1); });
+  // Island src posts label k to the next island; also callable between runs.
+  void send(int src, int k) {
+    const int dst = (src + 1) % static_cast<int>(sims_.size());
+    coord_.post(ids_[static_cast<std::size_t>(src)], ids_[static_cast<std::size_t>(dst)],
+                sim(src).now() + kFloor, [this, dst, k] {
+                  log(dst, 1000 + k);
+                  sim(dst).after(37, [this, dst, k] { log(dst, 2000 + k); });
+                });
+  }
+
+  [[nodiscard]] std::vector<std::string> merged_log() const {
+    std::vector<std::string> merged;
+    for (std::size_t i = 0; i < logs_.size(); ++i) {
+      for (const auto& [at, label] : logs_[i]) {
+        merged.push_back(std::to_string(i) + "@" + std::to_string(at) + ":" +
+                         std::to_string(label));
       }
     }
-  };
-  Driver d{&coord, &sims, &ids, &logs};
-  for (int i = 0; i < kIslands; ++i) {
-    sims[static_cast<std::size_t>(i)].at(10 + i, [&d, i] { d.tick(i, 1); });
+    return merged;
   }
-  coord.run_until(60'000);
 
-  std::vector<std::string> merged;
-  for (int i = 0; i < kIslands; ++i) {
-    for (const auto& [at, label] : logs[static_cast<std::size_t>(i)]) {
-      merged.push_back(std::to_string(i) + "@" + std::to_string(at) + ":" +
-                       std::to_string(label));
+ private:
+  Simulator& sim(int i) { return sims_[static_cast<std::size_t>(i)]; }
+
+  // Island i's log is written only by island i's events.
+  void log(int i, int label) {
+    logs_[static_cast<std::size_t>(i)].push_back({sim(i).now(), label});
+  }
+
+  void tick(int island, int k) {
+    log(island, k);
+    if (k % 3 == 0) send(island, k);
+    if (k < 40) {
+      sim(island).after(101 + 13 * (island + 1), [this, island, k] { tick(island, k + 1); });
     }
   }
-  return merged;
+
+  std::vector<Simulator> sims_;
+  IslandCoordinator coord_;  // after sims_: its workers are joined first
+  std::vector<IslandId> ids_;
+  std::vector<std::vector<std::pair<Micros, int>>> logs_;
+};
+
+std::vector<std::string> chatty_run(int islands, unsigned threads) {
+  Chatty c(islands);
+  c.run_until(threads, 60'000);
+  return c.merged_log();
 }
 
 TEST(IslandCoordinator, SerialAndParallelSchedulesIdentical) {
-  const auto serial = chatty_run(1);
+  // 8 workers clamp to 4 on the 4-island run; on the 16-island run they
+  // exceed the hardware threads of most hosts, so waiters park at once.
+  for (int islands : {4, 16}) {
+    const auto serial = chatty_run(islands, 1);
+    EXPECT_FALSE(serial.empty());
+    for (unsigned threads : {2u, 4u, 8u}) {
+      EXPECT_EQ(chatty_run(islands, threads), serial)
+          << "islands=" << islands << " threads=" << threads;
+    }
+  }
+}
+
+TEST(IslandCoordinator, ThreadCountChangeBetweenRunsIsRaceFree) {
+  // Changing the worker count between runs respawns the pool; a new worker
+  // must wait for the next epoch rather than rerun the last one while the
+  // coordinator drains the mailboxes posted between runs.
+  auto run = [](const std::vector<unsigned>& plan) {
+    Chatty c(4);
+    Micros t = 0;
+    for (std::size_t r = 0; r < plan.size(); ++r) {
+      t += 9'000;
+      c.run_until(plan[r], t);
+      for (int src = 0; src < 4; ++src) c.send(src, 100 * static_cast<int>(r) + src);
+    }
+    c.run_until(plan.back(), t + 9'000);
+    return c.merged_log();
+  };
+  const auto serial = run({1, 1, 1, 1, 1});
   EXPECT_FALSE(serial.empty());
-  EXPECT_EQ(chatty_run(2), serial);
-  EXPECT_EQ(chatty_run(4), serial);
+  EXPECT_EQ(run({4, 2, 3, 1, 4}), serial);
 }
 
 TEST(IslandCoordinator, ThreadsFromEnv) {
@@ -241,9 +274,9 @@ ArchRun arch_run(std::uint64_t seed, unsigned threads, bool faults, bool kv = fa
 TEST(ArchipelagoDeterminism, SerialAndParallelByteIdentical) {
   // Five seeds; the last three add loss plus a crash/restart schedule, and
   // the last one KV traffic through the gateways.  Each
-  // seed's serial run is the reference; 2- and 4-worker runs must match it
-  // byte for byte, trace and metrics both, with the oracle on and aborting
-  // (Testbed default) in every mode.
+  // seed's serial run is the reference; 2-, 4- and 8-worker runs (4 and 8
+  // clamp to the 3 rings) must match it byte for byte, trace and metrics
+  // both, with the oracle on and aborting (Testbed default) in every mode.
   struct Case {
     std::uint64_t seed;
     bool faults;
@@ -257,7 +290,7 @@ TEST(ArchipelagoDeterminism, SerialAndParallelByteIdentical) {
     if (cs.kv) {
       ASSERT_GT(ref.forwards, 0u) << "seed " << cs.seed;
     }
-    for (unsigned threads : {2u, 4u}) {
+    for (unsigned threads : {2u, 4u, 8u}) {
       const ArchRun par = arch_run(cs.seed, threads, cs.faults, cs.kv);
       EXPECT_EQ(par.trace, ref.trace) << "seed " << cs.seed << " threads " << threads;
       EXPECT_EQ(par.metrics, ref.metrics) << "seed " << cs.seed << " threads " << threads;

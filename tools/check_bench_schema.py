@@ -68,6 +68,9 @@ REQUIRED_PAIR_PREFIXES = frozenset({
     "pr12",
     # TraceLog stored as delta-varint chunks (BM_TraceRecord).
     "pr13",
+    # Spin-then-park island barrier with stealing (BM_ArchipelagoEventsPerSec,
+    # BM_ShardedGatewayOpsPerSec at CTS_SIM_THREADS=4).
+    "pr18",
 })
 RECORDED_TRAJECTORY = "BENCH_sim_core.json"
 
