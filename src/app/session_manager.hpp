@@ -25,9 +25,10 @@
 //                             owning ring (doc/SHARDING.md)
 //   OPEN_MANY count ttl     → synthetic bulk ingest: `count` sessions from
 //                             ONE id round + ONE clock round, stored as a
-//                             compact batch record — how the scalability
-//                             bench loads millions of sessions per ring
-//                             without millions of CCS rounds
+//                             compact batch record — how the E10 shard
+//                             sweep (tests/paper_claims_test.cpp) loads
+//                             millions of sessions without millions of
+//                             CCS rounds
 #pragma once
 
 #include <cstdint>

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/types.hpp"
@@ -92,9 +91,6 @@ class Histogram {
     }
     return out;
   }
-
-  /// Multi-line table: "bin_start_us density" rows, for bench output.
-  [[nodiscard]] std::string table(const std::string& label) const;
 
  private:
   void sort() const {
