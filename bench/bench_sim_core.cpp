@@ -1,6 +1,7 @@
 // Microbenchmarks for the simulator engine hot path (event scheduling,
-// cancellation, reschedule, broadcast fan-out) plus an end-to-end
-// events/sec figure from a live 4-node Totem ring.
+// cancellation, reschedule, broadcast fan-out), the message codecs, RNG and
+// histogram, plus end-to-end figures: events/sec from a live 4-node Totem
+// ring and simulated requests per wall-second through the whole testbed.
 //
 // Unlike the figure-oriented benches, this suite writes a machine-readable
 // trajectory: every run appends {"label", "results": [...]} to a JSON file
@@ -31,7 +32,10 @@
 #include "app/kv_store.hpp"
 #include "app/testbed.hpp"
 #include "app/topology.hpp"
+#include "common/bytes.hpp"
+#include "common/histogram.hpp"
 #include "common/rng.hpp"
+#include "cts/ccs_message.hpp"
 #include "gcs/gcs.hpp"
 #include "net/network.hpp"
 #include "obs/recorder.hpp"
@@ -373,10 +377,7 @@ void BM_ShardedGatewayOpsPerSec(benchmark::State& state) {
   cfg.seed = 42;
   cfg.threads = sim::threads_from_env(1);
   cfg.app = [](const app::ShardMap& map, std::size_t ring) {
-    app::KvStoreApp::Options o;
-    o.shard_map = &map;
-    o.ring = ring;
-    return app::kv_store_factory(o);
+    return app::kv_store_factory({.shard_map = &map, .ring = ring});
   };
   app::Archipelago ar(cfg);
   std::uint64_t replies = 0;
@@ -479,6 +480,111 @@ void BM_TraceRecord(benchmark::State& state) {
       static_cast<double>(heap_in_use() - heap_before) / static_cast<double>(kBatch);
 }
 BENCHMARK(BM_TraceRecord);
+
+// --- Codecs, RNG, histogram: the per-round CPU cost on top of the network -------
+
+void BM_BytesWriterSmallMessage(benchmark::State& state) {
+  for (auto _ : state) {
+    BytesWriter w;
+    w.u8(3);
+    w.u32(42);
+    w.u64(123456789);
+    w.i64(-5);
+    w.str("payload");
+    benchmark::DoNotOptimize(w.data());
+  }
+}
+BENCHMARK(BM_BytesWriterSmallMessage);
+
+void BM_BytesReaderSmallMessage(benchmark::State& state) {
+  BytesWriter w;
+  w.u8(3);
+  w.u32(42);
+  w.u64(123456789);
+  w.i64(-5);
+  w.str("payload");
+  const Bytes data = std::move(w).take();
+  for (auto _ : state) {
+    BytesReader r(data);
+    benchmark::DoNotOptimize(r.u8());
+    benchmark::DoNotOptimize(r.u32());
+    benchmark::DoNotOptimize(r.u64());
+    benchmark::DoNotOptimize(r.i64());
+    benchmark::DoNotOptimize(r.str());
+  }
+}
+BENCHMARK(BM_BytesReaderSmallMessage);
+
+void BM_CcsPayloadRoundTrip(benchmark::State& state) {
+  ccs::CcsPayload p;
+  p.thread = ThreadId{1};
+  p.call_type = ccs::ClockCallType::kGettimeofday;
+  p.proposed_clock = 1056326400LL * 1000000LL;
+  for (auto _ : state) {
+    const Bytes b = p.encode();
+    benchmark::DoNotOptimize(ccs::CcsPayload::decode(b));
+  }
+}
+BENCHMARK(BM_CcsPayloadRoundTrip);
+
+void BM_GcsHeaderRoundTrip(benchmark::State& state) {
+  gcs::Message m;
+  m.hdr.type = gcs::MsgType::kCcs;
+  m.hdr.src_grp = GroupId{1};
+  m.hdr.dst_grp = GroupId{1};
+  m.hdr.conn = ConnectionId{1000};
+  m.hdr.tag = ThreadId{0};
+  m.hdr.seq = 12345;
+  m.hdr.sender_replica = ReplicaId{2};
+  m.hdr.sender_node = NodeId{3};
+  m.payload = Bytes(14, 0xAB);
+  for (auto _ : state) {
+    const Bytes b = gcs::GcsEndpoint::encode(m);
+    benchmark::DoNotOptimize(gcs::GcsEndpoint::decode(b));
+  }
+}
+BENCHMARK(BM_GcsHeaderRoundTrip);
+
+void BM_RngNext(benchmark::State& state) {
+  Rng rng(1);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.next());
+}
+BENCHMARK(BM_RngNext);
+
+void BM_RngGaussian(benchmark::State& state) {
+  Rng rng(1);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.gaussian(0.0, 1.0));
+}
+BENCHMARK(BM_RngGaussian);
+
+void BM_HistogramAdd(benchmark::State& state) {
+  Histogram h(10, 10'000);
+  Rng rng(2);
+  for (auto _ : state) h.add(rng.range(0, 9'999));
+  benchmark::DoNotOptimize(h.count());
+}
+BENCHMARK(BM_HistogramAdd);
+
+void BM_FullStackSimulationSpeed(benchmark::State& state) {
+  // Wall-clock cost of simulating the whole testbed: one client invocation
+  // round-trip through Totem + GCS + replication + CTS per iteration.
+  // Reported as simulated-requests per wall-second — the simulator's
+  // throughput budget for large experiments.
+  app::TestbedConfig cfg;
+  cfg.seed = 42;
+  app::Testbed tb(cfg);
+  tb.start();
+  std::uint64_t completed = 0;
+  for (auto _ : state) {
+    bool done = false;
+    tb.client().invoke(app::make_get_time_request(), [&](const Bytes&) { done = true; });
+    while (!done) tb.sim().run(256);
+    ++completed;
+  }
+  obs::export_from_env(tb.recorder(), "bench_sim_core.fullstack");
+  state.SetItemsProcessed(static_cast<std::int64_t>(completed));
+}
+BENCHMARK(BM_FullStackSimulationSpeed)->Unit(benchmark::kMicrosecond);
 
 // --- JSON trajectory writer ----------------------------------------------------
 

@@ -74,10 +74,9 @@ int main() {
 
   // Final consistency check across replicas.
   tb.sim().run_for(2'000'000);
-  auto& a0 = static_cast<KvStoreApp&>(tb.server(0).app());
   bool identical = true;
   for (std::uint32_t s = 1; s < 3; ++s) {
-    identical &= static_cast<KvStoreApp&>(tb.server(s).app()).state_digest() == a0.state_digest();
+    identical &= tb.server(s).app().state_digest() == tb.server(0).app().state_digest();
   }
   std::printf("\nexpired leases observed per replica: %llu / %llu / %llu (must match)\n",
               (unsigned long long)static_cast<KvStoreApp&>(tb.server(0).app()).leases_expired(),

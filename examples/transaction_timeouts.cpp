@@ -9,10 +9,12 @@
 //     session management".
 //
 // A 2-way actively replicated transaction manager mints transaction ids
-// with ConsistentIdGenerator and aborts idle transactions with
-// GroupTimerService.  Both replicas mint the SAME ids and abort the SAME
-// transactions at the SAME group time — with hardware clocks, both would
-// diverge immediately.
+// with ConsistentIdGenerator and aborts idle transactions with lazy
+// group-time deadlines (DeadlineIndex): each request reads the group clock
+// and first aborts the open transactions whose deadline it has reached.
+// Both replicas mint the SAME ids and abort the SAME transactions at the
+// SAME point of the request stream (and checkpoint the same deadlines) —
+// with hardware clocks, both would diverge immediately.
 //
 // Run: ./build/examples/transaction_timeouts
 #include <cstdio>
@@ -21,7 +23,7 @@
 #include <vector>
 
 #include "app/testbed.hpp"
-#include "cts/group_timers.hpp"
+#include "cts/deadlines.hpp"
 #include "cts/id_gen.hpp"
 
 using namespace cts;
@@ -36,10 +38,7 @@ enum class TxOp : std::uint8_t { kBegin = 1, kCommit = 2 };
 class TxManagerApp : public replication::Replica {
  public:
   explicit TxManagerApp(replication::ReplicaContext& ctx)
-      : ctx_(ctx),
-        sys_(ctx.time, ctx.processing_thread),
-        timers_(ctx.time, ccs::GroupTimerService::Config{ThreadId{100}, 1'000}),
-        ids_(ctx.time, ThreadId{50}, 1) {}
+      : sys_(ctx.time, ctx.processing_thread), ids_(ctx.time, ThreadId{50}, 1) {}
 
   void handle_request(const SharedBytes& request, std::function<void(Bytes)> done) override {
     serve(request, std::move(done));
@@ -49,17 +48,44 @@ class TxManagerApp : public replication::Replica {
     BytesWriter w;
     w.u64(committed_);
     w.u64(aborted_);
+    w.u64(ids_.minted());
+    w.u32(static_cast<std::uint32_t>(open_.size()));
+    for (const auto& [tx, deadline] : open_) {
+      w.u64(tx);
+      w.i64(deadline);
+    }
     return std::move(w).take();
   }
   void restore(const Bytes& state) override {
     BytesReader r(state);
     committed_ = r.u64();
     aborted_ = r.u64();
+    ids_.restore_minted(r.u64());
+    open_.clear();
+    deadlines_.clear();
+    const auto n = r.u32();
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const std::uint64_t tx = r.u64();
+      open_[tx] = r.i64();
+      deadlines_.arm(open_[tx], tx, tx);
+    }
   }
 
   [[nodiscard]] const std::vector<std::string>& log() const { return log_; }
+  [[nodiscard]] std::size_t open_count() const { return open_.size(); }
 
  private:
+  /// Abort every open transaction whose deadline the group-clock reading
+  /// `now` has reached.
+  void abort_expired(Micros now) {
+    deadlines_.expire(now, [&](std::uint64_t tx, std::uint64_t) {
+      open_.erase(tx);
+      ++aborted_;
+      log_.push_back("abort  tx=" + std::to_string(tx % 100000) + " at group time +" +
+                     std::to_string(now % 1'000'000) + "us");
+    });
+  }
+
   sim::Task serve(SharedBytes request, std::function<void(Bytes)> done) {
     BytesReader r(request);
     const auto op = static_cast<TxOp>(r.u8());
@@ -67,25 +93,23 @@ class TxManagerApp : public replication::Replica {
     switch (op) {
       case TxOp::kBegin: {
         const std::uint64_t tx = co_await ids_.make_id();
-        const ccs::TimeVal now = co_await sys_.gettimeofday();
-        open_[tx] = timers_.schedule_after(now.total_us(), kTxTimeout, [this, tx](Micros t) {
-          open_.erase(tx);
-          ++aborted_;
-          log_.push_back("abort  tx=" + std::to_string(tx % 100000) +
-                         " at group time +" + std::to_string(t % 1'000'000) + "us");
-        });
+        const Micros now = (co_await sys_.gettimeofday()).total_us();
+        abort_expired(now);
+        open_[tx] = now + kTxTimeout;
+        deadlines_.arm(now + kTxTimeout, tx, tx);  // tx ids are unique stamps
         log_.push_back("begin  tx=" + std::to_string(tx % 100000));
         reply.u64(tx);
         break;
       }
       case TxOp::kCommit: {
         const std::uint64_t tx = r.u64();
+        abort_expired((co_await sys_.gettimeofday()).total_us());
         auto it = open_.find(tx);
         if (it == open_.end()) {
           log_.push_back("late   tx=" + std::to_string(tx % 100000) + " (already aborted)");
           reply.u8(0);
         } else {
-          timers_.cancel(it->second);
+          deadlines_.disarm(it->second, tx);
           open_.erase(it);
           ++committed_;
           log_.push_back("commit tx=" + std::to_string(tx % 100000));
@@ -97,11 +121,10 @@ class TxManagerApp : public replication::Replica {
     done(std::move(reply).take());
   }
 
-  replication::ReplicaContext& ctx_;
   ccs::TimeSyscalls sys_;
-  ccs::GroupTimerService timers_;
   ccs::ConsistentIdGenerator ids_;
-  std::map<std::uint64_t, ccs::GroupTimerService::TimerId> open_;
+  std::map<std::uint64_t, Micros> open_;  // tx -> group-time deadline
+  ccs::DeadlineIndex<std::uint64_t> deadlines_;
   std::uint64_t committed_ = 0;
   std::uint64_t aborted_ = 0;
   std::vector<std::string> log_;
@@ -138,6 +161,12 @@ sim::Task drive(Testbed& tb, bool& done) {
   r = co_await tb.client().call(commit_req(tx2));
   std::printf("client: commit tx %llu -> %s\n", (unsigned long long)(tx2 % 100000),
               BytesReader(r).u8() ? "ok" : "TOO LATE");
+
+  // Transaction 3: begun and left open; its deadline is still armed when
+  // the run ends, with no request to apply it.
+  r = co_await tb.client().call(begin_req());
+  std::printf("client: began tx %llu and leaves it open\n",
+              (unsigned long long)(BytesReader(r).u64() % 100000));
   done = true;
 }
 
@@ -172,5 +201,9 @@ int main() {
   std::printf("\nreplica logs identical (same ids, same timeout decisions, same group "
               "times): %s\n",
               identical ? "YES" : "NO (bug!)");
-  return identical ? 0 : 1;
+  // Transaction 3 is still open: both checkpoints carry it and its deadline.
+  const bool same_state = a0.open_count() == 1 && a0.checkpoint() == a1.checkpoint();
+  std::printf("replica checkpoints identical, 1 transaction still open: %s\n",
+              same_state ? "YES" : "NO (bug!)");
+  return identical && same_state ? 0 : 1;
 }

@@ -98,11 +98,6 @@ Bytes make_reply(KvStatus status, const std::string& value = "", std::uint64_t v
   return std::move(w).take();
 }
 
-std::uint64_t hash_mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  return h;
-}
-
 std::uint64_t hash_str(std::uint64_t h, const std::string& s) {
   for (unsigned char c : s) h = hash_mix(h, c);
   return h;
@@ -112,21 +107,9 @@ std::uint64_t hash_str(std::uint64_t h, const std::string& s) {
 // --- KvStoreApp -------------------------------------------------------------------
 
 KvStoreApp::KvStoreApp(replication::ReplicaContext& ctx, Options opt)
-    : ctx_(ctx), sys_(ctx.time, ctx.processing_thread), opt_(opt) {
-  // Sharded mode: open the ring's KV handoff stream.  my_group is the
-  // ring's cross-ring ingress group, so outgoing stamps carry this ring's
-  // identity as src_grp and incoming handoffs (addressed to that group,
-  // re-originated by the gateway) are adopted here in agreed order.
-  if (opt_.shard_map != nullptr && ctx.gcs != nullptr) {
-    handoff_ = std::make_unique<ccs::CausalMessenger>(
-        *ctx.gcs, ctx.time, opt_.shard_map->cross_group(opt_.ring),
-        opt_.shard_map->kv_stream(opt_.ring));
-    handoff_->subscribe(ShardMap::kKvHandoffConn,
-                        [this](const gcs::Message& m, Micros ts, const Bytes& body) {
-                          adopt_handoff(m, ts, body);
-                        });
-  }
-}
+    : sys_(ctx.time, ctx.processing_thread),
+      handoff_(ctx, opt, &ShardMap::kv_stream, ShardMap::kKvHandoffConn, "kv",
+               [this](const Bytes& record) { adopt_handoff(record); }) {}
 
 void KvStoreApp::handle_request(const SharedBytes& request, std::function<void(Bytes)> done) {
   serve(request, std::move(done));
@@ -136,30 +119,21 @@ bool KvStoreApp::lease_blocks(const Entry& e, std::uint64_t owner, Micros now) c
   return e.lease_owner != 0 && e.lease_owner != owner && e.lease_expiry > now;
 }
 
-void KvStoreApp::index_lease(const std::string& key, const Entry& e) {
-  if (e.lease_owner != 0) deadlines_.emplace(e.lease_expiry, e.lease_grant, key);
-}
-
-void KvStoreApp::unindex_lease(const std::string& key, const Entry& e) {
-  if (e.lease_owner != 0) deadlines_.erase(Deadline{e.lease_expiry, e.lease_grant, key});
-}
-
 void KvStoreApp::install(const std::string& key, Entry e) {
   auto [it, fresh] = entries_.try_emplace(key);
-  if (!fresh) unindex_lease(key, it->second);
+  if (!fresh) disarm_lease(it->second);
   it->second = std::move(e);
-  index_lease(key, it->second);
+  arm_lease(key, it->second);
 }
 
-void KvStoreApp::expire_due(Micros now) {
-  while (!deadlines_.empty() && std::get<0>(*deadlines_.begin()) <= now) {
-    const auto node = deadlines_.extract(deadlines_.begin());
-    auto it = entries_.find(std::get<2>(node.value()));
-    if (it == entries_.end() || it->second.lease_grant != std::get<1>(node.value())) continue;
+void KvStoreApp::expire_leases(Micros now) {
+  leases_.expire(now, [this](const std::string& key, std::uint64_t grant) {
+    auto it = entries_.find(key);
+    if (it == entries_.end() || it->second.lease_grant != grant) return;
     it->second.lease_owner = 0;
     it->second.lease_expiry = 0;
     ++leases_expired_;
-  }
+  });
 }
 
 sim::Task KvStoreApp::serve(SharedBytes request, std::function<void(Bytes)> done) {
@@ -177,7 +151,7 @@ sim::Task KvStoreApp::serve(SharedBytes request, std::function<void(Bytes)> done
           // A lease exists: check it against the GROUP clock so every
           // replica reaches the same verdict.
           const Micros now = (co_await sys_.gettimeofday()).total_us();
-          expire_due(now);
+          expire_leases(now);
           if (lease_blocks(it->second, owner, now)) {
             reply = make_reply(KvStatus::kLeaseHeld);
             break;
@@ -207,13 +181,13 @@ sim::Task KvStoreApp::serve(SharedBytes request, std::function<void(Bytes)> done
         }
         if (it->second.lease_owner != 0) {
           const Micros now = (co_await sys_.gettimeofday()).total_us();
-          expire_due(now);
+          expire_leases(now);
           if (lease_blocks(it->second, owner, now)) {
             reply = make_reply(KvStatus::kLeaseHeld);
             break;
           }
         }
-        unindex_lease(key, it->second);
+        disarm_lease(it->second);
         entries_.erase(it);
         reply = make_reply(KvStatus::kOk);
         break;
@@ -226,17 +200,17 @@ sim::Task KvStoreApp::serve(SharedBytes request, std::function<void(Bytes)> done
           break;
         }
         const Micros now = (co_await sys_.gettimeofday()).total_us();
-        expire_due(now);
+        expire_leases(now);
         Entry& e = entries_[key];  // acquiring creates the key if absent
         if (lease_blocks(e, owner, now)) {
           reply = make_reply(KvStatus::kLeaseDenied, "", e.version, e.lease_expiry);
           break;
         }
-        unindex_lease(key, e);  // a renewal replaces the owner's deadline
+        disarm_lease(e);  // a renewal replaces the owner's deadline
         e.lease_owner = owner;
         e.lease_expiry = now + ttl;
         e.lease_grant = ++grant_counter_;
-        index_lease(key, e);
+        arm_lease(key, e);
         reply = make_reply(KvStatus::kOk, "", e.version, e.lease_expiry);
         break;
       }
@@ -247,7 +221,7 @@ sim::Task KvStoreApp::serve(SharedBytes request, std::function<void(Bytes)> done
           reply = make_reply(KvStatus::kLeaseDenied);
           break;
         }
-        unindex_lease(key, it->second);
+        disarm_lease(it->second);
         it->second.lease_owner = 0;
         it->second.lease_expiry = 0;
         reply = make_reply(KvStatus::kOk);
@@ -259,7 +233,7 @@ sim::Task KvStoreApp::serve(SharedBytes request, std::function<void(Bytes)> done
       }
       case KvOp::kMigrate: {
         const std::uint32_t dst = r.u32();
-        if (!handoff_ || dst >= opt_.shard_map->rings() || dst == opt_.ring) {
+        if (!handoff_.routes_to(dst)) {
           reply = make_reply(KvStatus::kBadRequest);
           break;
         }
@@ -278,33 +252,21 @@ sim::Task KvStoreApp::serve(SharedBytes request, std::function<void(Bytes)> done
         rec.u64(exported.version);
         rec.u64(exported.lease_owner);
         rec.i64(exported.lease_expiry);
-        unindex_lease(key, exported);
+        disarm_lease(exported);
         entries_.erase(it);
-        const MsgSeqNum seq = ++handoff_seq_;
-        // Phase 2 — stamped transfer: one CCS round mints the transfer
-        // stamp (identical at every live replica of this ring; duplicate
-        // suppression collapses the copies, and one survivor suffices if a
-        // representative crashes mid-handoff).  The destination raises its
-        // causal floor to the stamp before adoption, so a reading taken
-        // after adoption on the destination exceeds the stamp minted here.
-        const Micros ts = co_await handoff_->send(
-            opt_.shard_map->cross_group(dst), ShardMap::kKvHandoffConn, seq, std::move(rec).take());
+        // Phase 2 — stamped transfer (HandoffStream): one CCS round mints
+        // the transfer stamp, identical at every live replica of this ring,
+        // and one survivor suffices if a representative crashes
+        // mid-handoff.  The destination raises its causal floor to the
+        // stamp before adoption, so a reading taken after adoption on the
+        // destination exceeds the stamp minted here.
+        const Micros ts = co_await handoff_.send(dst, std::move(rec).take());
         if (ts == kNoTime) {
           // Stamp stream busy (possible only with multiple concurrent
           // migrations): roll the release back and ask the client to retry.
-          --handoff_seq_;
           install(key, exported);
           reply = make_reply(KvStatus::kRetry);
           break;
-        }
-        ++handoffs_out_;
-        if (auto* rec_ptr = ctx_.gcs != nullptr ? ctx_.gcs->recorder() : nullptr) {
-          // Handoffs are per-migration events (a handful per run), so the
-          // by-name counter lookup here is deliberate — no handle cache.
-          ++rec_ptr->counter("kv.handoffs_out");
-          rec_ptr->event(obs::EventKind::kHandoffExport, ctx_.gcs->node_id(), ctx_.replica,
-                         opt_.shard_map->kv_stream(opt_.ring).value,
-                         static_cast<std::int64_t>(seq), static_cast<std::int64_t>(dst));
         }
         reply = make_reply(KvStatus::kOk, "", exported.version, ts);
         break;
@@ -318,42 +280,26 @@ sim::Task KvStoreApp::serve(SharedBytes request, std::function<void(Bytes)> done
   done(std::move(reply));
 }
 
-void KvStoreApp::adopt_handoff(const gcs::Message& m, Micros stamp, const Bytes& record) {
-  // Runs at every replica of the destination ring, in agreed order, with
-  // the causal floor already raised to `stamp` by the messenger — so the
-  // next clock reading here exceeds the transfer stamp minted at the
-  // source.  Everything below is a pure function of (record, local state),
-  // identical at every replica.
-  try {
-    BytesReader r(record);
-    const std::string key = r.str();
-    Entry e;
-    e.value = r.str();
-    e.version = r.u64();
-    e.lease_owner = r.u64();
-    e.lease_expiry = r.i64();
-    // A concurrently created local entry loses to the transferred one, but
-    // version never regresses for readers that watched the local copy.
-    if (auto it = entries_.find(key); it != entries_.end() && it->second.version > e.version) {
-      e.version = it->second.version;
-    }
-    // Fresh grant; the absolute group-time deadline transfers verbatim (the
-    // floor guarantees our clock is causally AFTER the stamp, so the lease
-    // can only shorten, never stretch past its source-side deadline).
-    if (e.lease_owner != 0) e.lease_grant = ++grant_counter_;
-    install(key, std::move(e));
-    ++handoffs_in_;
-    if (auto* rec_ptr = ctx_.gcs != nullptr ? ctx_.gcs->recorder() : nullptr) {
-      ++rec_ptr->counter("kv.handoffs_in");
-      rec_ptr->event(obs::EventKind::kHandoffAdopt, ctx_.gcs->node_id(), ctx_.replica,
-                     m.hdr.tag.value, static_cast<std::int64_t>(m.hdr.seq),
-                     static_cast<std::int64_t>(stamp));
-    }
-  } catch (const CodecError&) {
-    if (auto* rec_ptr = ctx_.gcs != nullptr ? ctx_.gcs->recorder() : nullptr) {
-      ++rec_ptr->counter("kv.handoffs_rejected");
-    }
+void KvStoreApp::adopt_handoff(const Bytes& record) {
+  // Everything below is a pure function of (record, local state), identical
+  // at every replica of the destination ring.
+  BytesReader r(record);
+  const std::string key = r.str();
+  Entry e;
+  e.value = r.str();
+  e.version = r.u64();
+  e.lease_owner = r.u64();
+  e.lease_expiry = r.i64();
+  // A concurrently created local entry loses to the transferred one, but
+  // version never regresses for readers that watched the local copy.
+  if (auto it = entries_.find(key); it != entries_.end() && it->second.version > e.version) {
+    e.version = it->second.version;
   }
+  // Fresh grant; the absolute group-time deadline transfers verbatim (the
+  // floor guarantees our clock is causally AFTER the stamp, so the lease
+  // can only shorten, never stretch past its source-side deadline).
+  if (e.lease_owner != 0) e.lease_grant = ++grant_counter_;
+  install(key, std::move(e));
 }
 
 std::uint64_t KvStoreApp::state_digest() const {
@@ -372,7 +318,7 @@ Bytes KvStoreApp::checkpoint() const {
   BytesWriter w;
   w.u64(grant_counter_);
   w.u64(leases_expired_);
-  w.u64(handoff_seq_);
+  w.u64(handoff_.seq());
   w.u32(static_cast<std::uint32_t>(entries_.size()));
   for (const auto& [k, e] : entries_) {
     w.str(k);
@@ -389,9 +335,9 @@ void KvStoreApp::restore(const Bytes& state) {
   BytesReader r(state);
   grant_counter_ = r.u64();
   leases_expired_ = r.u64();
-  handoff_seq_ = r.u64();
+  handoff_.restore_seq(r.u64());
   entries_.clear();
-  deadlines_.clear();
+  leases_.clear();
   const auto n = r.u32();
   for (std::uint32_t i = 0; i < n; ++i) {
     const std::string k = r.str();

@@ -14,9 +14,7 @@
 // leased key) reads it once, first expires every lease whose deadline that
 // reading has passed, and only then decides.  Each expiry therefore sits
 // at one request's position in the agreed stream, the same position at
-// every replica.  A poll thread (cts/group_timers.hpp) would not do: the
-// CCS round makes its readings agree, but its effects land between
-// different requests at different replicas.
+// every replica (cts/deadlines.hpp).
 //
 // Operations (all requests arrive in agreed total order):
 //   PUT key value [owner]   — write; fails if the key is leased to someone
@@ -35,13 +33,10 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <set>
 #include <string>
-#include <tuple>
 
-#include "app/topology.hpp"
-#include "cts/multigroup.hpp"
+#include "app/handoff.hpp"
+#include "cts/deadlines.hpp"
 #include "cts/time_syscalls.hpp"
 #include "gcs/gcs.hpp"
 #include "replication/replica.hpp"
@@ -94,17 +89,9 @@ struct KvReply {
 
 class KvStoreApp : public replication::Replica {
  public:
-  struct Options {
-    /// Sharded deployment (nullptr = single-ring; no handoff stream is
-    /// built and the app behaves exactly as before).  When set, the app
-    /// opens a CausalMessenger on the ShardMap's KV handoff stream for
-    /// ring `ring`: MIGRATE exports entries to other rings and adoption
-    /// installs entries stamped by them.  The map must outlive the app.
-    /// Handoff-enabled managers must run with shards = 1 — the handoff
-    /// stamp stream is per ring, not per processing shard.
-    const ShardMap* shard_map = nullptr;
-    std::size_t ring = 0;
-  };
+  /// Sharded deployment: MIGRATE exports entries to other rings and
+  /// adoption installs entries stamped by them (see HandoffStream).
+  using Options = HandoffStream::Options;
 
   KvStoreApp(replication::ReplicaContext& ctx, Options opt);
 
@@ -113,11 +100,11 @@ class KvStoreApp : public replication::Replica {
   void restore(const Bytes& state) override;
 
   // Introspection for tests (all replica-deterministic).
-  [[nodiscard]] std::uint64_t state_digest() const;
+  [[nodiscard]] std::uint64_t state_digest() const override;
   [[nodiscard]] std::size_t key_count() const { return entries_.size(); }
   [[nodiscard]] std::uint64_t leases_expired() const { return leases_expired_; }
-  [[nodiscard]] std::uint64_t handoffs_out() const { return handoffs_out_; }
-  [[nodiscard]] std::uint64_t handoffs_in() const { return handoffs_in_; }
+  [[nodiscard]] std::uint64_t handoffs_out() const { return handoff_.sent(); }
+  [[nodiscard]] std::uint64_t handoffs_in() const { return handoff_.adopted(); }
   [[nodiscard]] bool has_key(const std::string& key) const { return entries_.count(key) != 0; }
 
  private:
@@ -129,39 +116,35 @@ class KvStoreApp : public replication::Replica {
     std::uint64_t lease_grant = 0;  // distinguishes successive leases
   };
 
-  /// (deadline, grant, key) of one live lease.
-  using Deadline = std::tuple<Micros, std::uint64_t, std::string>;
-
   sim::Task serve(SharedBytes request, std::function<void(Bytes)> done);
   [[nodiscard]] bool lease_blocks(const Entry& e, std::uint64_t owner, Micros now) const;
-  /// Keep `deadlines_` equal to the set of live leases: call unindex before
-  /// a lease changes or its entry goes, index after one is granted.
-  void index_lease(const std::string& key, const Entry& e);
-  void unindex_lease(const std::string& key, const Entry& e);
+  /// Keep `leases_` equal to the set of live leases: disarm before a lease
+  /// changes or its entry goes, arm after one is granted.
+  void arm_lease(const std::string& key, const Entry& e) {
+    if (e.lease_owner != 0) leases_.arm(e.lease_expiry, e.lease_grant, key);
+  }
+  void disarm_lease(const Entry& e) {
+    if (e.lease_owner != 0) leases_.disarm(e.lease_expiry, e.lease_grant);
+  }
   /// Replace (or create) `key`'s entry, keeping the deadline index exact.
   void install(const std::string& key, Entry e);
   /// Expire every lease whose deadline is at or below `now`, a group-clock
   /// reading the current request just took.
-  void expire_due(Micros now);
+  void expire_leases(Micros now);
   /// Destination side of a handoff: install the stamped record.  Runs in
   /// agreed delivery order, AFTER the causal floor was raised to the
   /// transfer stamp — so any reading taken after adoption exceeds it.
-  void adopt_handoff(const gcs::Message& m, Micros stamp, const Bytes& record);
+  void adopt_handoff(const Bytes& record);
 
-  replication::ReplicaContext& ctx_;
   ccs::TimeSyscalls sys_;
-  Options opt_;
 
   std::map<std::string, Entry> entries_;
-  std::set<Deadline> deadlines_;  // live leases, earliest first
+  ccs::DeadlineIndex<std::string> leases_;  // live leases by (expiry, grant)
   std::uint64_t grant_counter_ = 0;
   std::uint64_t leases_expired_ = 0;
 
   // Cross-shard handoff stream (sharded mode only; see doc/SHARDING.md).
-  std::unique_ptr<ccs::CausalMessenger> handoff_;
-  std::uint64_t handoff_seq_ = 0;  // checkpointed: survives failover
-  std::uint64_t handoffs_out_ = 0;
-  std::uint64_t handoffs_in_ = 0;
+  HandoffStream handoff_;
 };
 
 replication::ReplicaFactory kv_store_factory(KvStoreApp::Options opt = {});

@@ -170,22 +170,6 @@ std::uint64_t monotonicity_violations(const std::vector<Micros>& stamps) {
   return v;
 }
 
-/// Fold `w`'s eight bytes into the running FNV-1a hash `h`.
-std::uint64_t fold(std::uint64_t h, std::uint64_t w) {
-  std::uint8_t b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<std::uint8_t>(w >> (8 * i));
-  return fnv1a64(b, h);
-}
-
-std::uint64_t state_digest(replication::Replica& app, bool kv) {
-  if (kv) return static_cast<KvStoreApp&>(app).state_digest();
-  std::uint64_t h = fnv1a64({});
-  for (const Micros v : static_cast<TimeServerApp&>(app).time_history()) {
-    h = fold(h, static_cast<std::uint64_t>(v));
-  }
-  return h;
-}
-
 /// Every live, recovered replica that answers clients (all of them for
 /// active and semi-active, the primary for passive, whose backups hold
 /// checkpointed state) holds the same state as the first one, shard by shard.
@@ -197,7 +181,7 @@ bool replicas_consistent(Testbed& tb, const ScenarioSpec& o) {
     if (o.style == ReplicationStyle::kPassive && !m.is_primary()) continue;
     std::vector<std::uint64_t> digests;
     for (std::uint32_t sh = 0; sh < m.shard_count(); ++sh) {
-      digests.push_back(state_digest(m.app(sh), o.kv));
+      digests.push_back(m.app(sh).state_digest());
     }
     if (first.empty()) first = std::move(digests);
     else if (digests != first) return false;
@@ -228,12 +212,12 @@ std::uint64_t export_digest(const std::vector<obs::Recorder*>& recs) {
     const std::string json = rec->metrics().to_json();
     h = fnv1a64(Bytes(json.begin(), json.end()), h);
     for (const obs::TraceEvent& e : rec->trace().events()) {
-      h = fold(h, static_cast<std::uint64_t>(e.at));
-      h = fold(h, static_cast<std::uint64_t>(e.kind) << 32 | e.node);
-      h = fold(h, e.replica);
-      h = fold(h, static_cast<std::uint64_t>(e.a));
-      h = fold(h, static_cast<std::uint64_t>(e.b));
-      h = fold(h, static_cast<std::uint64_t>(e.c));
+      h = fnv1a64_fold(h, static_cast<std::uint64_t>(e.at));
+      h = fnv1a64_fold(h, static_cast<std::uint64_t>(e.kind) << 32 | e.node);
+      h = fnv1a64_fold(h, e.replica);
+      h = fnv1a64_fold(h, static_cast<std::uint64_t>(e.a));
+      h = fnv1a64_fold(h, static_cast<std::uint64_t>(e.b));
+      h = fnv1a64_fold(h, static_cast<std::uint64_t>(e.c));
     }
   }
   return h;
@@ -353,10 +337,7 @@ ScenarioResult run_archipelago(const ScenarioSpec& o) {
   acfg.threads = o.threads;
   if (o.kv) {
     acfg.app = [](const ShardMap& map, std::size_t ring) {
-      KvStoreApp::Options kopt;
-      kopt.shard_map = &map;
-      kopt.ring = ring;
-      return kv_store_factory(kopt);
+      return kv_store_factory({.shard_map = &map, .ring = ring});
     };
   }
   Archipelago ar(acfg);

@@ -68,79 +68,47 @@ Bytes make_reply(SessionStatus status, std::uint64_t id = 0, Micros stamp = 0,
   w.u64(digest);
   return std::move(w).take();
 }
-
-std::uint64_t mix64(std::uint64_t h, std::uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  return h;
-}
 }  // namespace
 
 // --- SessionManagerApp ---------------------------------------------------------------
 
 SessionManagerApp::SessionManagerApp(replication::ReplicaContext& ctx, Options opt)
-    : ctx_(ctx),
-      sys_(ctx.time, ctx.processing_thread),
+    : sys_(ctx.time, ctx.processing_thread),
       // A derived thread id keeps shards (and other apps on the same
       // service) from colliding; same derivation at every replica.
       ids_(ctx.time, ThreadId{ctx.processing_thread.value + 3000},
            /*ns=*/ctx.group.value * 1000 + ctx.processing_thread.value),
-      opt_(opt) {
-  // Sharded mode: open the ring's session-migration stream (see
-  // KvStoreApp's constructor for the src_grp/adoption contract).
-  if (opt_.shard_map != nullptr && ctx.gcs != nullptr) {
-    handoff_ = std::make_unique<ccs::CausalMessenger>(
-        *ctx.gcs, ctx.time, opt_.shard_map->cross_group(opt_.ring),
-        opt_.shard_map->session_stream(opt_.ring));
-    handoff_->subscribe(ShardMap::kSessionHandoffConn,
-                        [this](const gcs::Message& m, Micros ts, const Bytes& body) {
-                          adopt_handoff(m, ts, body);
-                        });
-  }
-}
+      handoff_(ctx, opt, &ShardMap::session_stream, ShardMap::kSessionHandoffConn, "session",
+               [this](const Bytes& record) { adopt_handoff(record); }) {}
 
 void SessionManagerApp::handle_request(const SharedBytes& request, std::function<void(Bytes)> done) {
   serve(request, std::move(done));
 }
 
-void SessionManagerApp::index(std::uint64_t id, const Session& s) {
-  deadlines_.emplace(DeadlineKey{s.last_activity + s.ttl, s.epoch}, Due{id, false});
-}
-
-void SessionManagerApp::index(std::uint64_t base_id, const Batch& b) {
-  deadlines_.emplace(DeadlineKey{b.last_activity + b.ttl, b.epoch}, Due{base_id, true});
-}
-
-void SessionManagerApp::unindex(const Session& s) {
-  deadlines_.erase(DeadlineKey{s.last_activity + s.ttl, s.epoch});
-}
-
 void SessionManagerApp::reap_due(Micros now) {
-  while (!deadlines_.empty() && deadlines_.begin()->first.first <= now) {
-    const auto node = deadlines_.extract(deadlines_.begin());
-    const std::uint64_t epoch = node.key().second;
-    const Due due = node.mapped();
+  deadlines_.expire(now, [this](const Due& due, std::uint64_t epoch) {
     if (due.batch) {
       auto it = batches_.find(due.id);
-      if (it == batches_.end() || it->second.epoch != epoch) continue;
+      if (it == batches_.end() || it->second.epoch != epoch) return;
       reaped_ += it->second.count;
       batched_ -= it->second.count;
       batches_.erase(it);
     } else {
       auto it = sessions_.find(due.id);
-      if (it == sessions_.end() || it->second.epoch != epoch) continue;
+      if (it == sessions_.end() || it->second.epoch != epoch) return;
       sessions_.erase(it);
       ++reaped_;
     }
-  }
+  });
 }
 
 void SessionManagerApp::install(std::uint64_t id, const Session& s) {
   auto [it, fresh] = sessions_.try_emplace(id, s);
   if (!fresh) {
-    unindex(it->second);
+    disarm(it->second);
     it->second = s;
   }
-  index(id, s);
+  arm(id, s);
 }
 
 const SessionManagerApp::Batch* SessionManagerApp::batch_of(std::uint64_t id,
@@ -190,10 +158,10 @@ sim::Task SessionManagerApp::serve(SharedBytes request, std::function<void(Bytes
           reply = make_reply(SessionStatus::kUnknownSession);
           break;
         }
-        unindex(it->second);
+        disarm(it->second);
         it->second.last_activity = now;
         it->second.epoch = ++epoch_counter_;
-        index(id, it->second);
+        arm(id, it->second);
         reply = make_reply(SessionStatus::kOk, id, it->second.last_activity + it->second.ttl);
         break;
       }
@@ -205,7 +173,7 @@ sim::Task SessionManagerApp::serve(SharedBytes request, std::function<void(Bytes
           reply = make_reply(SessionStatus::kUnknownSession);
           break;
         }
-        unindex(it->second);
+        disarm(it->second);
         sessions_.erase(it);
         reply = make_reply(SessionStatus::kOk, id);
         break;
@@ -249,14 +217,14 @@ sim::Task SessionManagerApp::serve(SharedBytes request, std::function<void(Bytes
         b.epoch = ++epoch_counter_;
         batches_[base] = b;
         batched_ += count;
-        index(base, b);
+        arm(base, b, /*batch=*/true);
         reply = make_reply(SessionStatus::kOk, base, b.last_activity + ttl, count);
         break;
       }
       case SessionOp::kMigrate: {
         const std::uint64_t id = r.u64();
         const std::uint32_t dst = r.u32();
-        if (!handoff_ || dst >= opt_.shard_map->rings() || dst == opt_.ring) {
+        if (!handoff_.routes_to(dst)) {
           reply = make_reply(SessionStatus::kBadRequest);
           break;
         }
@@ -273,26 +241,13 @@ sim::Task SessionManagerApp::serve(SharedBytes request, std::function<void(Bytes
         rec.u64(id);
         rec.i64(exported.ttl);
         rec.i64(exported.last_activity);
-        unindex(exported);
+        disarm(exported);
         sessions_.erase(it);
-        const MsgSeqNum seq = ++handoff_seq_;
-        const Micros ts =
-            co_await handoff_->send(opt_.shard_map->cross_group(dst),
-                                    ShardMap::kSessionHandoffConn, seq, std::move(rec).take());
+        const Micros ts = co_await handoff_.send(dst, std::move(rec).take());
         if (ts == kNoTime) {
-          --handoff_seq_;
           install(id, exported);
           reply = make_reply(SessionStatus::kBadRequest);
           break;
-        }
-        ++handoffs_out_;
-        if (auto* rec_ptr = ctx_.gcs != nullptr ? ctx_.gcs->recorder() : nullptr) {
-          // Handoffs are per-migration events (a handful per run), so the
-          // by-name counter lookup here is deliberate — no handle cache.
-          ++rec_ptr->counter("session.handoffs_out");
-          rec_ptr->event(obs::EventKind::kHandoffExport, ctx_.gcs->node_id(), ctx_.replica,
-                         opt_.shard_map->session_stream(opt_.ring).value,
-                         static_cast<std::int64_t>(seq), static_cast<std::int64_t>(dst));
         }
         reply = make_reply(SessionStatus::kOk, id, ts);
         break;
@@ -306,46 +261,33 @@ sim::Task SessionManagerApp::serve(SharedBytes request, std::function<void(Bytes
   done(std::move(reply));
 }
 
-void SessionManagerApp::adopt_handoff(const gcs::Message& m, Micros stamp, const Bytes& record) {
-  // Agreed delivery order; causal floor already at `stamp` — the session's
-  // next activity reading here exceeds the migration stamp minted at the
-  // source (the cross-shard ordering property the sweep test asserts).
-  try {
-    BytesReader r(record);
-    const std::uint64_t id = r.u64();
-    Session s;
-    s.ttl = r.i64();
-    s.last_activity = r.i64();
-    s.epoch = ++epoch_counter_;
-    install(id, s);
-    ++handoffs_in_;
-    if (auto* rec_ptr = ctx_.gcs != nullptr ? ctx_.gcs->recorder() : nullptr) {
-      ++rec_ptr->counter("session.handoffs_in");
-      rec_ptr->event(obs::EventKind::kHandoffAdopt, ctx_.gcs->node_id(), ctx_.replica,
-                     m.hdr.tag.value, static_cast<std::int64_t>(m.hdr.seq),
-                     static_cast<std::int64_t>(stamp));
-    }
-  } catch (const CodecError&) {
-    if (auto* rec_ptr = ctx_.gcs != nullptr ? ctx_.gcs->recorder() : nullptr) {
-      ++rec_ptr->counter("session.handoffs_rejected");
-    }
-  }
+void SessionManagerApp::adopt_handoff(const Bytes& record) {
+  // The causal floor is already at the stamp, so the session's next
+  // activity reading here exceeds the migration stamp minted at the source
+  // (the cross-shard ordering property the sweep test asserts).
+  BytesReader r(record);
+  const std::uint64_t id = r.u64();
+  Session s;
+  s.ttl = r.i64();
+  s.last_activity = r.i64();
+  s.epoch = ++epoch_counter_;
+  install(id, s);
 }
 
 std::uint64_t SessionManagerApp::state_digest() const {
   std::uint64_t h = 14695981039346656037ULL;
   for (const auto& [id, s] : sessions_) {
-    h = mix64(h, id);
-    h = mix64(h, static_cast<std::uint64_t>(s.ttl));
-    h = mix64(h, static_cast<std::uint64_t>(s.last_activity));
+    h = hash_mix(h, id);
+    h = hash_mix(h, static_cast<std::uint64_t>(s.ttl));
+    h = hash_mix(h, static_cast<std::uint64_t>(s.last_activity));
   }
   for (const auto& [base, b] : batches_) {
-    h = mix64(h, base);
-    h = mix64(h, b.count);
-    h = mix64(h, static_cast<std::uint64_t>(b.ttl));
-    h = mix64(h, static_cast<std::uint64_t>(b.last_activity));
+    h = hash_mix(h, base);
+    h = hash_mix(h, b.count);
+    h = hash_mix(h, static_cast<std::uint64_t>(b.ttl));
+    h = hash_mix(h, static_cast<std::uint64_t>(b.last_activity));
   }
-  h = mix64(h, reaped_);
+  h = hash_mix(h, reaped_);
   return h;
 }
 
@@ -353,7 +295,7 @@ Bytes SessionManagerApp::checkpoint() const {
   BytesWriter w;
   w.u64(epoch_counter_);
   w.u64(reaped_);
-  w.u64(handoff_seq_);
+  w.u64(handoff_.seq());
   w.u64(ids_.minted());
   w.u32(static_cast<std::uint32_t>(sessions_.size()));
   for (const auto& [id, s] : sessions_) {
@@ -377,7 +319,7 @@ void SessionManagerApp::restore(const Bytes& state) {
   BytesReader r(state);
   epoch_counter_ = r.u64();
   reaped_ = r.u64();
-  handoff_seq_ = r.u64();
+  handoff_.restore_seq(r.u64());
   ids_.restore_minted(r.u64());
   sessions_.clear();
   deadlines_.clear();
@@ -402,7 +344,7 @@ void SessionManagerApp::restore(const Bytes& state) {
     b.epoch = r.u64();
     batched_ += b.count;
     batches_[base] = b;
-    index(base, b);
+    arm(base, b, /*batch=*/true);
   }
 }
 

@@ -12,7 +12,7 @@
 // first, and that reading first reaps every session and batch whose
 // deadline it has reached.  Each reap therefore sits at one request's
 // position in the agreed stream, the same at every replica; no poll thread
-// runs.
+// runs (cts/deadlines.hpp).
 //
 // Operations (ordered requests):
 //   OPEN ttl                → new session id (deterministic), expiry stamp
@@ -33,12 +33,10 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <utility>
 
-#include "app/topology.hpp"
+#include "app/handoff.hpp"
+#include "cts/deadlines.hpp"
 #include "cts/id_gen.hpp"
-#include "cts/multigroup.hpp"
 #include "cts/time_syscalls.hpp"
 #include "replication/replica.hpp"
 
@@ -84,27 +82,22 @@ struct SessionReply {
 
 class SessionManagerApp : public replication::Replica {
  public:
-  struct Options {
-    /// Sharded deployment (nullptr = single-ring, no handoff stream; see
-    /// KvStoreApp::Options for the contract — the map must outlive the
-    /// app, and handoff-enabled managers must run with shards = 1).
-    const ShardMap* shard_map = nullptr;
-    std::size_t ring = 0;
-  };
+  /// Sharded deployment: MIGRATE hands sessions to other rings (see
+  /// HandoffStream).
+  using Options = HandoffStream::Options;
 
-  explicit SessionManagerApp(replication::ReplicaContext& ctx) : SessionManagerApp(ctx, Options{}) {}
   SessionManagerApp(replication::ReplicaContext& ctx, Options opt);
 
   void handle_request(const SharedBytes& request, std::function<void(Bytes)> done) override;
   [[nodiscard]] Bytes checkpoint() const override;
   void restore(const Bytes& state) override;
 
-  [[nodiscard]] std::uint64_t state_digest() const;
+  [[nodiscard]] std::uint64_t state_digest() const override;
   /// Individually tracked sessions plus members of bulk-ingested batches.
   [[nodiscard]] std::uint64_t live_sessions() const { return sessions_.size() + batched_; }
   [[nodiscard]] std::uint64_t sessions_reaped() const { return reaped_; }
-  [[nodiscard]] std::uint64_t handoffs_out() const { return handoffs_out_; }
-  [[nodiscard]] std::uint64_t handoffs_in() const { return handoffs_in_; }
+  [[nodiscard]] std::uint64_t handoffs_out() const { return handoff_.sent(); }
+  [[nodiscard]] std::uint64_t handoffs_in() const { return handoff_.adopted(); }
   [[nodiscard]] bool has_session(std::uint64_t id) const { return sessions_.count(id) != 0; }
 
  private:
@@ -112,20 +105,16 @@ class SessionManagerApp : public replication::Replica {
     Micros ttl = 0;
     Micros last_activity = 0;  // group time
     std::uint64_t epoch = 0;   // distinguishes successive deadlines
+    [[nodiscard]] Micros deadline() const { return last_activity + ttl; }
   };
   /// A bulk-ingested batch: `count` synthetic sessions with consecutive
   /// ids [base_id, base_id + count), one record and one deadline for all
   /// of them.  O(batches) memory is what makes millions of sessions per
   /// ring affordable; members answer QUERY but not TOUCH/CLOSE.
-  struct Batch {
+  struct Batch : Session {
     std::uint32_t count = 0;
-    Micros ttl = 0;
-    Micros last_activity = 0;
-    std::uint64_t epoch = 0;
   };
 
-  /// (deadline, epoch): epochs are unique across sessions and batches.
-  using DeadlineKey = std::pair<Micros, std::uint64_t>;
   /// What a deadline reaps: a session, or a batch by its base id.
   struct Due {
     std::uint64_t id = 0;
@@ -133,36 +122,33 @@ class SessionManagerApp : public replication::Replica {
   };
 
   sim::Task serve(SharedBytes request, std::function<void(Bytes)> done);
-  /// Keep `deadlines_` equal to the live sessions and batches: unindex a
-  /// session before its deadline changes or it goes, index it after.
-  void index(std::uint64_t id, const Session& s);
-  void index(std::uint64_t base_id, const Batch& b);
-  void unindex(const Session& s);
+  /// Keep `deadlines_` equal to the live sessions and batches: disarm a
+  /// session before its deadline changes or it goes, arm it after.  Epochs
+  /// are unique across sessions and batches, so they stamp the deadlines.
+  void arm(std::uint64_t id, const Session& s, bool batch = false) {
+    deadlines_.arm(s.deadline(), s.epoch, Due{id, batch});
+  }
+  void disarm(const Session& s) { deadlines_.disarm(s.deadline(), s.epoch); }
   /// Replace (or create) session `id`, keeping the deadline index exact.
   void install(std::uint64_t id, const Session& s);
   /// Reap everything whose deadline is at or below `now`, a group-clock
   /// reading the current request just took.
   void reap_due(Micros now);
-  void adopt_handoff(const gcs::Message& m, Micros stamp, const Bytes& record);
+  void adopt_handoff(const Bytes& record);
   [[nodiscard]] const Batch* batch_of(std::uint64_t id, std::uint64_t* base) const;
 
-  replication::ReplicaContext& ctx_;
   ccs::TimeSyscalls sys_;
   ccs::ConsistentIdGenerator ids_;
-  Options opt_;
 
   std::map<std::uint64_t, Session> sessions_;
   std::map<std::uint64_t, Batch> batches_;  // by base id
-  std::map<DeadlineKey, Due> deadlines_;    // live sessions and batches, earliest first
+  ccs::DeadlineIndex<Due> deadlines_;       // live sessions and batches
   std::uint64_t batched_ = 0;               // sum of live batch counts
   std::uint64_t epoch_counter_ = 0;
   std::uint64_t reaped_ = 0;
 
   // Cross-shard migration stream (sharded mode only; doc/SHARDING.md).
-  std::unique_ptr<ccs::CausalMessenger> handoff_;
-  std::uint64_t handoff_seq_ = 0;  // checkpointed: survives failover
-  std::uint64_t handoffs_out_ = 0;
-  std::uint64_t handoffs_in_ = 0;
+  HandoffStream handoff_;
 };
 
 replication::ReplicaFactory session_manager_factory(SessionManagerApp::Options opt = {});

@@ -245,6 +245,22 @@ class Testbed {
   /// manager) is torn down mid-recovery it is destroyed, never invoked
   /// twice and never leaked.
   void restart_server(std::uint32_t s, UniqueFn<void()> recovered = nullptr) {
+    rebuild_server(s, /*group_reset=*/false).start_recovering(std::move(recovered));
+  }
+
+  /// Restart server replica s after a TOTAL failure: rebuild the process
+  /// and start from the host's local disk instead of a peer's checkpoint.
+  void cold_restart_server(std::uint32_t s) {
+    rebuild_server(s, /*group_reset=*/true).start_cold();
+  }
+
+  storage::StableStore& store_of(std::uint32_t s) { return *stores_[s]; }
+
+ private:
+  /// Rebuild server replica s's process on its host, wired to the recorder
+  /// but not started.  `group_reset` tells the oracle the whole group
+  /// restarts (a cold start after a total failure).
+  replication::ReplicaManager& rebuild_server(std::uint32_t s, bool group_reset) {
     const auto node = server_node(s);
     const replication::ManagerConfig mcfg = managers_[s]->config();
 
@@ -264,38 +280,13 @@ class Testbed {
     if (auto* orc = recorder_.oracle()) {
       orc->on_node_reset(NodeId{node});
       orc->on_replica_reset(mcfg.group, mcfg.replica);
+      if (group_reset) orc->on_group_reset(mcfg.group);
     }
     eps_[node]->set_recorder(&recorder_);
     managers_[s]->set_recorder(&recorder_);
-    managers_[s]->start_recovering(std::move(recovered));
+    return *managers_[s];
   }
 
-  /// Restart server replica s after a TOTAL failure: rebuild the process
-  /// and start from the host's local disk instead of a peer's checkpoint.
-  void cold_restart_server(std::uint32_t s) {
-    const auto node = server_node(s);
-    const replication::ManagerConfig mcfg = managers_[s]->config();
-    managers_[s].reset();
-    eps_[node] = std::make_unique<gcs::GcsEndpoint>(sim_, *totems_[node]);
-    clocks_[node]->restart(clock_restart_rng_.range(-cfg_.max_clock_offset_us,
-                                                    cfg_.max_clock_offset_us));
-    totems_[node]->restart();
-    managers_[s] = std::make_unique<replication::ReplicaManager>(sim_, *eps_[node],
-                                                                 *clocks_[node], mcfg,
-                                                                 cfg_.factory);
-    if (auto* orc = recorder_.oracle()) {
-      orc->on_node_reset(NodeId{node});
-      orc->on_replica_reset(mcfg.group, mcfg.replica);
-      orc->on_group_reset(mcfg.group);
-    }
-    eps_[node]->set_recorder(&recorder_);
-    managers_[s]->set_recorder(&recorder_);
-    managers_[s]->start_cold();
-  }
-
-  storage::StableStore& store_of(std::uint32_t s) { return *stores_[s]; }
-
- private:
   TestbedConfig cfg_;
   sim::Simulator sim_;
   net::Network net_;

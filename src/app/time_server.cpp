@@ -23,8 +23,10 @@ Bytes make_get_counter_request() {
   return std::move(w).take();
 }
 
-TimeServerApp::TimeServerApp(replication::ReplicaContext& ctx, Options opt)
-    : ctx_(ctx), sys_(ctx.time, ctx.processing_thread), opt_(opt), delay_rng_(opt.delay_seed) {}
+TimeServerApp::TimeServerApp(replication::ReplicaContext& ctx, Options opt, bool local_clock)
+    : ctx_(ctx), local_clock_(local_clock), opt_(opt), delay_rng_(opt.delay_seed) {
+  if (!local_clock_) sys_.emplace(ctx.time, ctx.processing_thread);
+}
 
 void TimeServerApp::handle_request(const SharedBytes& request, std::function<void(Bytes)> done) {
   serve(request, std::move(done));
@@ -40,11 +42,14 @@ sim::Task TimeServerApp::serve(SharedBytes request, std::function<void(Bytes)> d
       // The paper's measured operation: the server "simply calls
       // gettimeofday(), which returns the clock value" in two longs.
       // The pre-op delay models ORB + scheduling overhead, which differs
-      // per host (Figure 1(b)).
+      // per host (Figure 1(b)); the local-clock control pays it too, so the
+      // Figure-5 latency comparison isolates the time service itself.
       co_await ctx_.time.scope().delay(opt_.pre_op_base_us + delay_rng_.range(0, opt_.pre_op_jitter_us));
-      const ccs::TimeVal tv = co_await sys_.gettimeofday();
+      const Micros t =
+          local_clock_ ? ctx_.hw_clock.read() : (co_await sys_->gettimeofday()).total_us();
       ++counter_;
-      history_.push_back(tv.total_us());
+      history_.push_back(t);
+      const ccs::TimeVal tv = ccs::TimeVal::from_us(t);
       reply.i64(tv.tv_sec);
       reply.i64(tv.tv_usec);
       break;
@@ -56,9 +61,8 @@ sim::Task TimeServerApp::serve(SharedBytes request, std::function<void(Bytes)> d
       Micros last = 0;
       for (std::uint32_t i = 0; i < rounds; ++i) {
         co_await ctx_.time.scope().delay(delay_rng_.range(opt_.min_delay_us, opt_.max_delay_us));
-        const ccs::TimeVal tv = co_await sys_.gettimeofday();
+        last = local_clock_ ? ctx_.hw_clock.read() : (co_await sys_->gettimeofday()).total_us();
         ++counter_;
-        last = tv.total_us();
         history_.push_back(last);
       }
       reply.i64(last);
@@ -76,6 +80,9 @@ sim::Task TimeServerApp::serve(SharedBytes request, std::function<void(Bytes)> d
 Bytes TimeServerApp::checkpoint() const {
   BytesWriter w;
   w.u64(counter_);
+  // A local-clock history is this host's own readings, not replicated
+  // state, so it is not transferred.
+  if (local_clock_) return std::move(w).take();
   w.u32(static_cast<std::uint32_t>(history_.size()));
   for (Micros t : history_) w.i64(t);
   return std::move(w).take();
@@ -84,86 +91,44 @@ Bytes TimeServerApp::checkpoint() const {
 void TimeServerApp::restore(const Bytes& state) {
   BytesReader r(state);
   counter_ = r.u64();
-  const auto n = r.u32();
   history_.clear();
+  if (local_clock_) return;
+  const auto n = r.u32();
   // Cap the reserve by the bytes actually present so a malformed checkpoint
   // cannot trigger a huge allocation before the first read throws.
   history_.reserve(std::min<std::size_t>(n, r.remaining() / sizeof(std::int64_t)));
   for (std::uint32_t i = 0; i < n; ++i) history_.push_back(r.i64());
 }
 
-void LocalTimeServerApp::handle_request(const SharedBytes& request, std::function<void(Bytes)> done) {
-  serve(request, std::move(done));
+std::uint64_t TimeServerApp::state_digest() const {
+  std::uint64_t h = fnv1a64({});
+  for (const Micros v : history_) h = fnv1a64_fold(h, static_cast<std::uint64_t>(v));
+  return h;
 }
 
-sim::Task LocalTimeServerApp::serve(SharedBytes request, std::function<void(Bytes)> done) {
-  BytesReader r(request);
-  const auto op = static_cast<TimeServerOp>(r.u8());
-  BytesWriter reply;
-  switch (op) {
-    case TimeServerOp::kGetTime: {
-      // Same per-host processing overhead as the CTS variant, so the
-      // Figure-5 latency comparison isolates the time service itself.
-      co_await ctx_.time.scope().delay(opt_.pre_op_base_us + delay_rng_.range(0, opt_.pre_op_jitter_us));
-      const Micros t = ctx_.hw_clock.read();  // local, inconsistent
-      ++counter_;
-      history_.push_back(t);
-      reply.i64(t / 1'000'000);
-      reply.i64(t % 1'000'000);
-      break;
-    }
-    case TimeServerOp::kGetTimeBurst: {
-      const std::uint32_t rounds = r.u32();
-      Micros last = 0;
-      for (std::uint32_t i = 0; i < rounds; ++i) {
-        co_await ctx_.time.scope().delay(delay_rng_.range(opt_.min_delay_us, opt_.max_delay_us));
-        last = ctx_.hw_clock.read();
-        ++counter_;
-        history_.push_back(last);
-      }
-      reply.i64(last);
-      reply.u32(rounds);
-      break;
-    }
-    case TimeServerOp::kGetCounter: {
-      reply.u64(counter_);
-      break;
-    }
-  }
-  done(std::move(reply).take());
+namespace {
+/// Give each replica its own delay stream and its own systematic
+/// processing overhead: the delays model CPU scheduling noise, which
+/// differs per host (the paper's n2 was consistently fastest, winning
+/// 9,977 of 10,000 rounds).
+TimeServerApp::Options for_replica(TimeServerApp::Options o, ReplicaId replica) {
+  o.delay_seed = o.delay_seed * 1000003 + replica.value;
+  o.pre_op_base_us = o.pre_op_base_us + 40 * replica.value;
+  return o;
 }
+}  // namespace
 
-Bytes LocalTimeServerApp::checkpoint() const {
-  BytesWriter w;
-  w.u64(counter_);
-  return std::move(w).take();
-}
-
-void LocalTimeServerApp::restore(const Bytes& state) {
-  BytesReader r(state);
-  counter_ = r.u64();
-  history_.clear();
+replication::ReplicaFactory time_server_factory(TimeServerApp::Options opt) {
+  return [opt](replication::ReplicaContext& ctx) {
+    return std::unique_ptr<TimeServerApp>(
+        new TimeServerApp(ctx, for_replica(opt, ctx.replica), /*local_clock=*/false));
+  };
 }
 
 replication::ReplicaFactory local_time_server_factory(TimeServerApp::Options opt) {
   return [opt](replication::ReplicaContext& ctx) {
-    TimeServerApp::Options o = opt;
-    o.delay_seed = opt.delay_seed * 1000003 + ctx.replica.value;
-    o.pre_op_base_us = opt.pre_op_base_us + 40 * ctx.replica.value;
-    return std::make_unique<LocalTimeServerApp>(ctx, o);
-  };
-}
-
-replication::ReplicaFactory time_server_factory(TimeServerApp::Options opt) {
-  return [opt](replication::ReplicaContext& ctx) {
-    TimeServerApp::Options o = opt;
-    // Give each replica its own delay stream and its own systematic
-    // processing overhead: the delays model CPU scheduling noise, which
-    // differs per host (the paper's n2 was consistently fastest, winning
-    // 9,977 of 10,000 rounds).
-    o.delay_seed = opt.delay_seed * 1000003 + ctx.replica.value;
-    o.pre_op_base_us = opt.pre_op_base_us + 40 * ctx.replica.value;
-    return std::make_unique<TimeServerApp>(ctx, o);
+    return std::unique_ptr<TimeServerApp>(
+        new TimeServerApp(ctx, for_replica(opt, ctx.replica), /*local_clock=*/true));
   };
 }
 

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -31,7 +32,13 @@ Bytes make_get_time_request();
 Bytes make_burst_request(std::uint32_t rounds);
 Bytes make_get_counter_request();
 
-/// The replicated time server.
+/// The replicated time server.  Built by time_server_factory() it reads
+/// the group clock; built by local_time_server_factory() it is the control
+/// variant of the paper's Figure-5 experiment and answers from its LOCAL
+/// hardware clock, bypassing the Consistent Time Service entirely.  That
+/// variant is fast, but "replica consistency of the server for this
+/// operation cannot be guaranteed" (Section 4.2) — the replicas' histories
+/// diverge, which the tests assert.
 class TimeServerApp : public replication::Replica {
  public:
   struct Options {
@@ -49,21 +56,27 @@ class TimeServerApp : public replication::Replica {
     Micros pre_op_jitter_us = 30;
   };
 
-  TimeServerApp(replication::ReplicaContext& ctx, Options opt);
-
   void handle_request(const SharedBytes& request, std::function<void(Bytes)> done) override;
   [[nodiscard]] Bytes checkpoint() const override;
   void restore(const Bytes& state) override;
+  /// FNV-1a over the time history.
+  [[nodiscard]] std::uint64_t state_digest() const override;
 
   /// Replica-deterministic state, for cross-replica consistency asserts.
   [[nodiscard]] std::uint64_t counter() const { return counter_; }
   [[nodiscard]] const std::vector<Micros>& time_history() const { return history_; }
 
  private:
+  friend replication::ReplicaFactory time_server_factory(Options opt);
+  friend replication::ReplicaFactory local_time_server_factory(Options opt);
+
+  TimeServerApp(replication::ReplicaContext& ctx, Options opt, bool local_clock);
+
   sim::Task serve(SharedBytes request, std::function<void(Bytes)> done);
 
   replication::ReplicaContext& ctx_;
-  ccs::TimeSyscalls sys_;
+  bool local_clock_;
+  std::optional<ccs::TimeSyscalls> sys_;  // group clock only
   Options opt_;
   Rng delay_rng_;
 
@@ -72,36 +85,9 @@ class TimeServerApp : public replication::Replica {
   std::vector<Micros> history_;
 };
 
-/// Factory adapter for ReplicaManager.
+/// Factory adapters for ReplicaManager: the group-clock server and the
+/// local-clock control.
 replication::ReplicaFactory time_server_factory(TimeServerApp::Options opt = {});
-
-/// The control variant of the paper's Figure-5 experiment: the server
-/// answers from its LOCAL hardware clock, bypassing the Consistent Time
-/// Service entirely.  Fast, but "replica consistency of the server for this
-/// operation cannot be guaranteed" (Section 4.2) — the replicas' histories
-/// diverge, which the tests assert.
-class LocalTimeServerApp : public replication::Replica {
- public:
-  LocalTimeServerApp(replication::ReplicaContext& ctx, TimeServerApp::Options opt)
-      : ctx_(ctx), opt_(opt), delay_rng_(opt.delay_seed) {}
-
-  void handle_request(const SharedBytes& request, std::function<void(Bytes)> done) override;
-  [[nodiscard]] Bytes checkpoint() const override;
-  void restore(const Bytes& state) override;
-
-  [[nodiscard]] std::uint64_t counter() const { return counter_; }
-  [[nodiscard]] const std::vector<Micros>& time_history() const { return history_; }
-
- private:
-  sim::Task serve(SharedBytes request, std::function<void(Bytes)> done);
-
-  replication::ReplicaContext& ctx_;
-  TimeServerApp::Options opt_;
-  Rng delay_rng_;
-  std::uint64_t counter_ = 0;
-  std::vector<Micros> history_;
-};
-
 replication::ReplicaFactory local_time_server_factory(TimeServerApp::Options opt = {});
 
 }  // namespace cts::app

@@ -2,7 +2,7 @@
 //
 // Local clocks — every replica answering from its own hardware clock,
 // trivially fast and trivially inconsistent — are modelled at the
-// application level by app::LocalTimeServerApp (app/time_server.hpp).
+// application level by app::local_time_server_factory() (app/time_server.hpp).
 //
 // 1. PrimaryBackupClockService — the prior-art approach of [9] and [3]:
 //    the primary reads its physical hardware clock and conveys the value to

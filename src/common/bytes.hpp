@@ -144,6 +144,18 @@ inline std::uint64_t fnv1a64(std::span<const std::uint8_t> data,
   return h;
 }
 
+/// Combine `v` into the running hash `h` (the replicated apps' state digests).
+inline std::uint64_t hash_mix(std::uint64_t h, std::uint64_t v) {
+  return h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
+}
+
+/// Fold `w`'s eight little-endian bytes into the running fnv1a64 hash `h`.
+inline std::uint64_t fnv1a64_fold(std::uint64_t h, std::uint64_t w) {
+  std::uint8_t b[8];
+  for (int i = 0; i < 8; ++i) b[i] = static_cast<std::uint8_t>(w >> (8 * i));
+  return fnv1a64(b, h);
+}
+
 /// Appends fixed-width little-endian values to a growing byte buffer.
 class BytesWriter {
  public:

@@ -33,14 +33,6 @@ class ConsistentIdGenerator {
     time_.register_thread(thread_);
   }
 
-  /// Mint one id (callback form): one CCS round, then mix.
-  void next_id(std::function<void(std::uint64_t)> done) {
-    time_.start_round(thread_, ClockCallType::kClockGettime,
-                      [this, done = std::move(done)](Micros group_time) {
-                        done(mix(group_time, ++counter_, ns_));
-                      });
-  }
-
   /// Awaitable form: `std::uint64_t id = co_await gen.make_id();`
   ///
   /// Parks the coroutine handle directly in the CTS round (destroy-on-drop:

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -86,30 +84,6 @@ bool export_merged_files(const std::vector<Recorder*>& islands,
     ok = ok && static_cast<bool>(f);
   }
   return ok;
-}
-
-int export_merged_from_env(const std::vector<Recorder*>& islands, const std::string& label) {
-  int written = 0;
-  auto emit = [&](const std::string& metrics_path, const std::string& trace_path) {
-    // The variables are an explicit request to export, so a failed write
-    // (typically a missing directory) warns instead of silently skipping.
-    if (!metrics_path.empty()) {
-      if (export_merged_files(islands, metrics_path, "")) ++written;
-      else std::fprintf(stderr, "warning: could not write metrics to %s\n", metrics_path.c_str());
-    }
-    if (!trace_path.empty()) {
-      if (export_merged_files(islands, "", trace_path)) ++written;
-      else std::fprintf(stderr, "warning: could not write trace to %s\n", trace_path.c_str());
-    }
-  };
-  if (const char* dir = std::getenv("CTS_OBS_DIR"); dir && *dir) {
-    const std::string base = std::string(dir) + "/" + label;
-    emit(base + ".metrics.json", base + ".trace.jsonl");
-  }
-  const char* mj = std::getenv("CTS_METRICS_JSON");
-  const char* tj = std::getenv("CTS_TRACE_JSONL");
-  emit(mj ? mj : "", tj ? tj : "");
-  return written;
 }
 
 }  // namespace cts::obs

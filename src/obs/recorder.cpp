@@ -5,6 +5,8 @@
 #include <map>
 #include <sstream>
 
+#include "obs/merge.hpp"
+
 namespace cts::obs {
 
 std::string Recorder::summary() {
@@ -20,18 +22,24 @@ std::string Recorder::summary() {
   return out.str();
 }
 
-int export_from_env(Recorder& rec, const std::string& label) {
-  rec.sync_sim_stats();
+namespace {
+
+/// The variable parser behind export_from_env and export_merged_from_env:
+/// calls `write_metrics` / `write_trace` with each path the variables
+/// request for `label`.  Returns the number of files written.
+template <typename WriteMetrics, typename WriteTrace>
+int export_to_env_paths(const std::string& label, WriteMetrics write_metrics,
+                        WriteTrace write_trace) {
   int written = 0;
   auto emit = [&](const std::string& metrics_path, const std::string& trace_path) {
     // The variables are an explicit request to export, so a failed write
     // (typically a missing directory) warns instead of silently skipping.
     if (!metrics_path.empty()) {
-      if (rec.metrics().write_json(metrics_path)) ++written;
+      if (write_metrics(metrics_path)) ++written;
       else std::fprintf(stderr, "warning: could not write metrics to %s\n", metrics_path.c_str());
     }
     if (!trace_path.empty()) {
-      if (rec.trace().write_jsonl(trace_path)) ++written;
+      if (write_trace(trace_path)) ++written;
       else std::fprintf(stderr, "warning: could not write trace to %s\n", trace_path.c_str());
     }
   };
@@ -43,6 +51,22 @@ int export_from_env(Recorder& rec, const std::string& label) {
   const char* tj = std::getenv("CTS_TRACE_JSONL");
   emit(mj ? mj : "", tj ? tj : "");
   return written;
+}
+
+}  // namespace
+
+int export_from_env(Recorder& rec, const std::string& label) {
+  rec.sync_sim_stats();
+  return export_to_env_paths(
+      label, [&](const std::string& path) { return rec.metrics().write_json(path); },
+      [&](const std::string& path) { return rec.trace().write_jsonl(path); });
+}
+
+// Declared in obs/merge.hpp; defined here to share the parser.
+int export_merged_from_env(const std::vector<Recorder*>& islands, const std::string& label) {
+  return export_to_env_paths(
+      label, [&](const std::string& path) { return export_merged_files(islands, path, ""); },
+      [&](const std::string& path) { return export_merged_files(islands, "", path); });
 }
 
 }  // namespace cts::obs

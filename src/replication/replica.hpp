@@ -60,6 +60,10 @@ class Replica {
 
   /// Replace the application state with a checkpoint.
   virtual void restore(const Bytes& state) = 0;
+
+  /// Digest of the replica-deterministic state: equal at every replica
+  /// that processed the same requests.  Defaults to a hash of checkpoint().
+  [[nodiscard]] virtual std::uint64_t state_digest() const { return fnv1a64(checkpoint()); }
 };
 
 using ReplicaFactory = std::function<std::unique_ptr<Replica>(ReplicaContext&)>;

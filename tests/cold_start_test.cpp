@@ -227,9 +227,7 @@ TEST(ColdStartTest, DurableKvStoreSurvivesTotalFailureWithLeases) {
   EXPECT_EQ(call(kv_put("config", "v2", /*owner=*/9)).status, KvStatus::kOk);
 
   tb.sim().run_for(2'000'000);
-  auto digest = [&](std::uint32_t s) {
-    return static_cast<KvStoreApp&>(tb.server(s).app()).state_digest();
-  };
+  auto digest = [&](std::uint32_t s) { return tb.server(s).app().state_digest(); };
   EXPECT_EQ(digest(1), digest(0));
   EXPECT_EQ(digest(2), digest(0));
 }

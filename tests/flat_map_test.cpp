@@ -322,7 +322,7 @@ ScenarioResult run_scenario(Scenario sc, std::uint64_t seed) {
   for (std::uint32_t s = 0; s < tb.server_count(); ++s) {
     if (!tb.clock_of(tb.server_node(s)).alive()) continue;
     for (std::uint32_t sh = 0; sh < tb.server(s).shard_count(); ++sh) {
-      out.digests.push_back(static_cast<app::KvStoreApp&>(tb.server(s).app(sh)).state_digest());
+      out.digests.push_back(tb.server(s).app(sh).state_digest());
     }
   }
   tb.recorder().sync_sim_stats();
@@ -380,8 +380,7 @@ TEST(FlatContainerDoubleRun, ShardedScenarioByteIdentical) {
     ScenarioResult out;
     for (std::uint32_t s = 0; s < tb.server_count(); ++s) {
       for (std::uint32_t sh = 0; sh < tb.server(s).shard_count(); ++sh) {
-        out.digests.push_back(
-            static_cast<app::KvStoreApp&>(tb.server(s).app(sh)).state_digest());
+        out.digests.push_back(tb.server(s).app(sh).state_digest());
       }
     }
     tb.recorder().sync_sim_stats();

@@ -53,17 +53,11 @@ Archipelago make_rig(std::uint64_t seed,
 }
 
 replication::ReplicaFactory kv_app(const ShardMap& map, std::size_t ring) {
-  KvStoreApp::Options o;
-  o.shard_map = &map;
-  o.ring = ring;
-  return kv_store_factory(o);
+  return kv_store_factory({.shard_map = &map, .ring = ring});
 }
 
 replication::ReplicaFactory session_app(const ShardMap& map, std::size_t ring) {
-  SessionManagerApp::Options o;
-  o.shard_map = &map;
-  o.ring = ring;
-  return session_manager_factory(o);
+  return session_manager_factory({.shard_map = &map, .ring = ring});
 }
 
 KvStoreApp& kv_of(Archipelago& ar, std::size_t r, std::uint32_t s) {

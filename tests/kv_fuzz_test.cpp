@@ -116,8 +116,7 @@ TEST_P(KvCrashFuzz, LiveReplicasNeverDiverge) {
       if (p.style == replication::ReplicationStyle::kPassive && !tb.server(s).is_primary()) {
         continue;
       }
-      EXPECT_EQ(static_cast<KvStoreApp&>(tb.server(s).app(sh)).state_digest(),
-                static_cast<KvStoreApp&>(tb.server(0).app(sh)).state_digest())
+      EXPECT_EQ(tb.server(s).app(sh).state_digest(), tb.server(0).app(sh).state_digest())
           << "seed " << p.seed << " server " << s << " shard " << sh;
     }
   }

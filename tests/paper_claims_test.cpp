@@ -285,10 +285,7 @@ ShardSweep shard_sweep(std::size_t rings, unsigned threads) {
   cfg.seed = 77;
   cfg.threads = threads;
   cfg.app = [](const ShardMap& map, std::size_t ring) {
-    SessionManagerApp::Options sopt;
-    sopt.shard_map = &map;
-    sopt.ring = ring;
-    return session_manager_factory(sopt);
+    return session_manager_factory({.shard_map = &map, .ring = ring});
   };
   Archipelago ar(cfg);
   ar.start();

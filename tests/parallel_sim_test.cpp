@@ -223,10 +223,7 @@ ArchRun arch_run(std::uint64_t seed, unsigned threads, bool faults, bool kv = fa
   if (faults) cfg.net.loss_probability = 0.01;
   if (kv) {
     cfg.app = [](const app::ShardMap& map, std::size_t ring) {
-      app::KvStoreApp::Options kopt;
-      kopt.shard_map = &map;
-      kopt.ring = ring;
-      return app::kv_store_factory(kopt);
+      return app::kv_store_factory({.shard_map = &map, .ring = ring});
     };
   }
   app::Archipelago ar(cfg);

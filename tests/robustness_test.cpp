@@ -333,8 +333,8 @@ TEST(PaperFigureTest, Figure1LocalClocksDivergeReplicaState) {
   while (!done) tb.sim().run_until(tb.sim().now() + 1'000'000);
   tb.sim().run_for(2'000'000);
 
-  auto& a0 = static_cast<app::LocalTimeServerApp&>(tb.server(0).app());
-  auto& a1 = static_cast<app::LocalTimeServerApp&>(tb.server(1).app());
+  auto& a0 = static_cast<app::TimeServerApp&>(tb.server(0).app());
+  auto& a1 = static_cast<app::TimeServerApp&>(tb.server(1).app());
   ASSERT_EQ(a0.time_history().size(), 50u);
   ASSERT_EQ(a1.time_history().size(), 50u);
   // The histories MUST diverge: different hardware clocks, different

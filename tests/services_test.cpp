@@ -1,16 +1,17 @@
-// Tests for the services built ON TOP of the group clock: deterministic
-// timers (GroupTimerService) and unique-id generation
+// Tests for the services built ON TOP of the group clock: group-time
+// deadlines (DeadlineIndex) and unique-id generation
 // (ConsistentIdGenerator) — the two motivating use cases from the paper's
 // introduction.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "clock/physical_clock.hpp"
 #include "cts/consistent_time_service.hpp"
-#include "cts/group_timers.hpp"
+#include "cts/deadlines.hpp"
 #include "cts/id_gen.hpp"
 #include "gcs/gcs.hpp"
 #include "net/network.hpp"
@@ -51,150 +52,67 @@ struct Rig {
   }
 };
 
-// --- GroupTimerService --------------------------------------------------------
+// --- DeadlineIndex ------------------------------------------------------------
 
-sim::Task read_group_time(ConsistentTimeService& svc, ThreadId t, Micros& out) {
-  out = co_await svc.get_time(t);
+using Expired = std::vector<std::pair<int, std::uint64_t>>;  // (key, stamp)
+
+/// Expire `idx` at `now`, returning what expired in expiry order.
+Expired expire_at(DeadlineIndex<int>& idx, Micros now) {
+  Expired out;
+  idx.expire(now, [&](const int& key, std::uint64_t stamp) { out.emplace_back(key, stamp); });
+  return out;
 }
 
-TEST(GroupTimerTest, FiresAfterDeadline) {
-  Rig rig(2);
-  std::vector<std::unique_ptr<GroupTimerService>> timers;
-  for (auto& svc : rig.svcs) {
-    timers.push_back(std::make_unique<GroupTimerService>(*svc, GroupTimerService::Config{}));
-  }
-  Micros base0 = 0, base1 = 0;
-  read_group_time(*rig.svcs[0], ThreadId{1}, base0);
-  read_group_time(*rig.svcs[1], ThreadId{1}, base1);
-  rig.sim.run_for(1'000'000);
-  ASSERT_NE(base0, 0);
-  ASSERT_EQ(base0, base1);
-
-  std::vector<Micros> fire0, fire1;
-  timers[0]->schedule_after(base0, 5'000, [&](Micros t) { fire0.push_back(t); });
-  timers[1]->schedule_after(base1, 5'000, [&](Micros t) { fire1.push_back(t); });
-  rig.sim.run_for(30'000'000);
-  ASSERT_EQ(fire0.size(), 1u);
-  ASSERT_EQ(fire1.size(), 1u);
-  EXPECT_GE(fire0[0], base0 + 5'000);
-  // Identical observed fire time at both replicas — the whole point.
-  EXPECT_EQ(fire0[0], fire1[0]);
+TEST(DeadlineIndexTest, ExpiresInDeadlineOrder) {
+  DeadlineIndex<int> idx;
+  // Armed in a scrambled order; deadlines decide the expiry order.
+  idx.arm(30, 1, 3);
+  idx.arm(10, 2, 1);
+  idx.arm(20, 3, 2);
+  EXPECT_TRUE(expire_at(idx, 5).empty());
+  EXPECT_EQ(expire_at(idx, 25), (Expired{{1, 2}, {2, 3}}));
+  EXPECT_EQ(idx.size(), 1u);
+  EXPECT_EQ(expire_at(idx, 100), (Expired{{3, 1}}));
+  EXPECT_EQ(idx.size(), 0u);
 }
 
-TEST(GroupTimerTest, FiringOrderIsDeadlineOrderAndIdenticalAcrossReplicas) {
-  Rig rig(3);
-  std::vector<std::unique_ptr<GroupTimerService>> timers;
-  for (auto& svc : rig.svcs) {
-    timers.push_back(std::make_unique<GroupTimerService>(*svc, GroupTimerService::Config{}));
-  }
-  std::vector<std::vector<int>> order(3);
-  // Schedule in a scrambled order; deadlines decide the firing order.
-  const Micros base = 1056326400LL * 1000000LL + 10'000'000;
-  for (std::uint32_t r = 0; r < 3; ++r) {
-    timers[r]->schedule_at(base + 30'000, [&, r](Micros) { order[r].push_back(3); });
-    timers[r]->schedule_at(base + 10'000, [&, r](Micros) { order[r].push_back(1); });
-    timers[r]->schedule_at(base + 20'000, [&, r](Micros) { order[r].push_back(2); });
-  }
-  rig.sim.run_for(60'000'000);
-  for (std::uint32_t r = 0; r < 3; ++r) {
-    ASSERT_EQ(order[r].size(), 3u) << "replica " << r;
-    EXPECT_EQ(order[r], (std::vector<int>{1, 2, 3}));
-  }
+TEST(DeadlineIndexTest, EqualDeadlinesExpireInStampOrder) {
+  DeadlineIndex<int> idx;
+  idx.arm(10, 7, 70);
+  idx.arm(10, 2, 20);
+  idx.arm(10, 5, 50);
+  EXPECT_EQ(expire_at(idx, 10), (Expired{{20, 2}, {50, 5}, {70, 7}}));
 }
 
-TEST(GroupTimerTest, SameDeadlineBreaksTiesById) {
-  Rig rig(2);
-  GroupTimerService t0(*rig.svcs[0], GroupTimerService::Config{});
-  GroupTimerService t1(*rig.svcs[1], GroupTimerService::Config{});
-  const Micros base = 1056326400LL * 1000000LL + 1'000'000;
-  std::vector<int> fired0, fired1;
-  t0.schedule_at(base, [&](Micros) { fired0.push_back(1); });
-  t0.schedule_at(base, [&](Micros) { fired0.push_back(2); });
-  t1.schedule_at(base, [&](Micros) { fired1.push_back(1); });
-  t1.schedule_at(base, [&](Micros) { fired1.push_back(2); });
-  rig.sim.run_for(30'000'000);
-  EXPECT_EQ(fired0, (std::vector<int>{1, 2}));
-  EXPECT_EQ(fired1, fired0);
+TEST(DeadlineIndexTest, DisarmedEntriesNeverExpire) {
+  DeadlineIndex<int> idx;
+  idx.arm(10, 1, 1);
+  idx.arm(10, 2, 2);
+  EXPECT_TRUE(idx.disarm(10, 1));
+  EXPECT_FALSE(idx.disarm(10, 1));  // already gone
+  EXPECT_FALSE(idx.disarm(11, 2));  // the stamp alone does not name an entry
+  EXPECT_EQ(expire_at(idx, 50), (Expired{{2, 2}}));
+  EXPECT_FALSE(idx.disarm(10, 2));  // expired
 }
 
-TEST(GroupTimerTest, CancelPreventsFiring) {
-  Rig rig(2);
-  GroupTimerService t0(*rig.svcs[0], GroupTimerService::Config{});
-  GroupTimerService t1(*rig.svcs[1], GroupTimerService::Config{});
-  const Micros base = 1056326400LL * 1000000LL + 1'000'000;
-  bool fired = false;
-  auto id0 = t0.schedule_at(base, [&](Micros) { fired = true; });
-  auto id1 = t1.schedule_at(base, [&](Micros) { fired = true; });
-  EXPECT_TRUE(t0.cancel(id0));
-  EXPECT_TRUE(t1.cancel(id1));
-  rig.sim.run_for(20'000'000);
-  EXPECT_FALSE(fired);
-  EXPECT_FALSE(t0.cancel(id0));  // second cancel reports failure
+TEST(DeadlineIndexTest, DeadlineEqualToNowExpires) {
+  DeadlineIndex<int> idx;
+  idx.arm(100, 1, 1);
+  EXPECT_TRUE(expire_at(idx, 99).empty());
+  EXPECT_EQ(expire_at(idx, 100), (Expired{{1, 1}}));
 }
 
-TEST(GroupTimerTest, PollingStopsWhenNoTimersArmed) {
-  Rig rig(2);
-  GroupTimerService t0(*rig.svcs[0], GroupTimerService::Config{});
-  GroupTimerService t1(*rig.svcs[1], GroupTimerService::Config{});
-  const Micros base = 1056326400LL * 1000000LL;
-  int fires = 0;
-  t0.schedule_at(base + 1'000'000, [&](Micros) { ++fires; });
-  t1.schedule_at(base + 1'000'000, [&](Micros) { ++fires; });
-  rig.sim.run_for(10'000'000);
-  ASSERT_EQ(fires, 2);
-  const auto rounds_after = rig.svcs[0]->stats().rounds_completed;
-  rig.sim.run_for(10'000'000);
-  // No armed timers => no more polling rounds.
-  EXPECT_EQ(rig.svcs[0]->stats().rounds_completed, rounds_after);
-}
-
-TEST(GroupTimerTest, TimerChainsReArm) {
-  Rig rig(2);
-  GroupTimerService t0(*rig.svcs[0], GroupTimerService::Config{});
-  GroupTimerService t1(*rig.svcs[1], GroupTimerService::Config{});
-  std::vector<Micros> fires0, fires1;
-  // A self-re-arming periodic timer, 3 ticks.
-  std::function<void(GroupTimerService&, std::vector<Micros>&, Micros)> arm =
-      [&](GroupTimerService& svc, std::vector<Micros>& out, Micros deadline) {
-        svc.schedule_at(deadline, [&svc, &out, deadline, &arm](Micros t) {
-          out.push_back(t);
-          if (out.size() < 3) arm(svc, out, deadline + 10'000);
-        });
-      };
-  const Micros base = 1056326400LL * 1000000LL + 1'000'000;
-  arm(t0, fires0, base);
-  arm(t1, fires1, base);
-  rig.sim.run_for(60'000'000);
-  ASSERT_EQ(fires0.size(), 3u);
-  EXPECT_EQ(fires0, fires1);
-  EXPECT_LT(fires0[0], fires0[1]);
-  EXPECT_LT(fires0[1], fires0[2]);
-}
-
-TEST(GroupTimerTest, TimersKeepFiringAfterAMemberCrashes) {
-  Rig rig(3);
-  std::vector<std::unique_ptr<GroupTimerService>> timers;
-  for (auto& svc : rig.svcs) {
-    timers.push_back(std::make_unique<GroupTimerService>(*svc, GroupTimerService::Config{}));
-  }
-  const Micros base = 1056326400LL * 1000000LL + 1'000'000;
-  std::vector<Micros> fire0, fire1;
-  // Two timers at every replica; replica 3 dies between the fire times.
-  timers[0]->schedule_at(base, [&](Micros t) { fire0.push_back(t); });
-  timers[1]->schedule_at(base, [&](Micros t) { fire1.push_back(t); });
-  timers[2]->schedule_at(base, [](Micros) {});
-  timers[0]->schedule_at(base + 3'000'000, [&](Micros t) { fire0.push_back(t); });
-  timers[1]->schedule_at(base + 3'000'000, [&](Micros t) { fire1.push_back(t); });
-  timers[2]->schedule_at(base + 3'000'000, [](Micros) {});
-
-  rig.sim.run_for(2'000'000);
-  rig.totems[2]->crash();
-  rig.clocks[2]->fail();
-  rig.sim.run_for(30'000'000);
-
-  ASSERT_EQ(fire0.size(), 2u);
-  EXPECT_EQ(fire0, fire1);  // survivors still agree on both fire times
-  EXPECT_LT(fire0[0], fire0[1]);
+TEST(DeadlineIndexTest, ClearThenRearm) {
+  DeadlineIndex<int> idx;
+  idx.arm(10, 1, 1);
+  idx.arm(20, 2, 2);
+  idx.clear();
+  EXPECT_EQ(idx.size(), 0u);
+  EXPECT_TRUE(expire_at(idx, 1'000).empty());
+  // A restore re-arms what its checkpoint carries, stamps included.
+  idx.arm(20, 2, 2);
+  idx.arm(5, 9, 9);
+  EXPECT_EQ(expire_at(idx, 1'000), (Expired{{9, 9}, {2, 2}}));
 }
 
 // --- ConsistentIdGenerator ------------------------------------------------------

@@ -224,8 +224,7 @@ TEST(ShardedTest, SemiActiveShardedWorks) {
   tb.sim().run_for(2'000'000);
   for (std::uint32_t s = 1; s < 3; ++s) {
     for (std::uint32_t sh = 0; sh < 2; ++sh) {
-      EXPECT_EQ(static_cast<KvStoreApp&>(tb.server(s).app(sh)).state_digest(),
-                static_cast<KvStoreApp&>(tb.server(0).app(sh)).state_digest());
+      EXPECT_EQ(tb.server(s).app(sh).state_digest(), tb.server(0).app(sh).state_digest());
     }
   }
 }

@@ -54,6 +54,15 @@ KNOWN_BENCHMARKS = frozenset({
     "BM_ShardedGatewayOpsPerSec",
     # Recording into the always-on TraceLog.
     "BM_TraceRecord",
+    # Hot-path codec, RNG, histogram and whole-stack rungs.
+    "BM_BytesWriterSmallMessage",
+    "BM_BytesReaderSmallMessage",
+    "BM_CcsPayloadRoundTrip",
+    "BM_GcsHeaderRoundTrip",
+    "BM_RngNext",
+    "BM_RngGaussian",
+    "BM_HistogramAdd",
+    "BM_FullStackSimulationSpeed",
 })
 
 # Optimization PRs whose before/after pair is part of the recorded history:
