@@ -7,6 +7,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
@@ -108,8 +109,7 @@ inline std::uint32_t load_u32le(const std::uint8_t* p) {
 
 inline void store_u32le(std::uint8_t* p, std::uint32_t v) { std::memcpy(p, &v, sizeof(v)); }
 
-/// 8-byte flavor for word-at-a-time scans (the oracle's payload
-/// fingerprint).  `p` must point at 8 readable bytes.
+/// 8-byte flavor for word-at-a-time scans (word_hash64).  `p` must point at 8 readable bytes.
 inline std::uint64_t load_u64le(const std::uint8_t* p) {
   std::uint64_t v = 0;
   std::memcpy(&v, p, sizeof(v));
@@ -121,19 +121,112 @@ inline std::uint64_t load_u64le(const std::uint8_t* p) {
 /// writable bytes.
 inline void store_u64le(std::uint8_t* p, std::uint64_t v) { std::memcpy(p, &v, sizeof(v)); }
 
-/// FNV-1a over a byte range, starting at offset `from`.  The 32-bit flavor
-/// seals packet envelopes (Totem's magic+checksum header); the 64-bit
-/// flavor links checkpoint-chain headers (see src/replication).  `seed`
-/// lets the 64-bit flavor chain over multiple inputs.
-inline std::uint32_t fnv1a32(std::span<const std::uint8_t> data, std::size_t from = 0) {
-  std::uint32_t h = 2166136261u;
-  for (std::size_t i = from; i < data.size(); ++i) {
-    h ^= data[i];
-    h *= 16777619u;
+/// Two hash families live here, and they are not interchangeable.
+///
+///   * Integrity hashes (word_hash32, word_hash64) check bytes this process
+///     produced a moment ago and will check again: the Totem envelope seal
+///     (32-bit), the checkpoint-chain digests and links (64-bit), the
+///     ordering oracle's payload fingerprints (64-bit).  Their values never
+///     leave the run, so they are free to be fast.
+///   * Exported digests (fnv1a64, fnv1a64_fold) name state across runs and
+///     tools: Replica::state_digest, TimeServerApp::state_digest, the
+///     scenario export digest, shard placement, benchmark reply digests.
+///     Their values are pinned; do not swap the algorithm.
+///
+/// The word hashes run four independent lanes over little-endian words.
+/// Each lane step is `lane = rotl((lane ^ word) * odd, r)`: the XOR, the
+/// multiply by an odd constant and the rotation are each bijections, in the
+/// lane and in the word.  The final (partial, zero-padded) tail word has the
+/// input length folded in; the lanes are combined by XOR and finished with a
+/// bijective avalanche.  So two inputs of the same length that differ only
+/// inside one word — every single-bit flip, every single-byte change — get
+/// different hashes, by construction, as with FNV-1a.  The rotation keeps a
+/// difference confined to a lane's top bit from cancelling against a second
+/// one in a later word of the same lane.
+namespace detail {
+
+template <typename W>
+inline W load_word_le(const std::uint8_t* p) {
+  if constexpr (sizeof(W) == 4) {
+    return load_u32le(p);
+  } else {
+    return load_u64le(p);
   }
-  return h;
 }
 
+template <typename W>
+struct WordHashConstants;
+
+template <>
+struct WordHashConstants<std::uint32_t> {
+  static constexpr std::uint32_t kMul[4] = {0x9e3779b1u, 0x85ebca77u, 0xc2b2ae3du, 0x27d4eb2fu};
+  static constexpr int kRot = 15;
+  static constexpr std::uint32_t fmix(std::uint32_t h) {  // murmur3's bijective finalizer
+    h ^= h >> 16;
+    h *= 0x85ebca6bu;
+    h ^= h >> 13;
+    h *= 0xc2b2ae35u;
+    return h ^ (h >> 16);
+  }
+};
+
+template <>
+struct WordHashConstants<std::uint64_t> {
+  static constexpr std::uint64_t kMul[4] = {0x9e3779b97f4a7c15ull, 0xc2b2ae3d27d4eb4full,
+                                            0x165667b19e3779f9ull, 0xff51afd7ed558ccdull};
+  static constexpr int kRot = 31;
+  static constexpr std::uint64_t fmix(std::uint64_t h) {
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdull;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ull;
+    return h ^ (h >> 33);
+  }
+};
+
+template <typename W>
+inline W word_hash(std::span<const std::uint8_t> data) {
+  using C = WordHashConstants<W>;
+  constexpr std::size_t kW = sizeof(W);
+  const auto step = [](W lane, W word, W mul) {
+    return std::rotl(static_cast<W>((lane ^ word) * mul), C::kRot);
+  };
+  const std::uint8_t* p = data.data();
+  const std::size_t n = data.size();
+  W l0 = C::kMul[3], l1 = C::kMul[2], l2 = C::kMul[1], l3 = C::kMul[0];
+  std::size_t i = 0;
+  for (; i + 4 * kW <= n; i += 4 * kW) {
+    l0 = step(l0, load_word_le<W>(p + i), C::kMul[0]);
+    l1 = step(l1, load_word_le<W>(p + i + kW), C::kMul[1]);
+    l2 = step(l2, load_word_le<W>(p + i + 2 * kW), C::kMul[2]);
+    l3 = step(l3, load_word_le<W>(p + i + 3 * kW), C::kMul[3]);
+  }
+  if (i + kW <= n) l0 = step(l0, load_word_le<W>(p + i), C::kMul[0]), i += kW;
+  if (i + kW <= n) l1 = step(l1, load_word_le<W>(p + i), C::kMul[1]), i += kW;
+  if (i + kW <= n) l2 = step(l2, load_word_le<W>(p + i), C::kMul[2]), i += kW;
+  // The tail word: the last n - i (< kW) bytes, zero-padded, read without
+  // touching a byte past the end.
+  W tail = 0;
+  for (std::size_t shift = 0; i < n; ++i, shift += 8) tail |= static_cast<W>(p[i]) << shift;
+  l3 = step(l3, tail ^ static_cast<W>(static_cast<W>(n) * C::kMul[0]), C::kMul[3]);
+  return C::fmix(l0 ^ l1 ^ l2 ^ l3);
+}
+
+}  // namespace detail
+
+/// 32-bit integrity hash: the Totem envelope checksum.
+inline std::uint32_t word_hash32(std::span<const std::uint8_t> data) {
+  return detail::word_hash<std::uint32_t>(data);
+}
+
+/// 64-bit integrity hash: checkpoint-chain digests and links, and the
+/// ordering oracle's payload fingerprints.
+inline std::uint64_t word_hash64(std::span<const std::uint8_t> data) {
+  return detail::word_hash<std::uint64_t>(data);
+}
+
+/// FNV-1a over a byte range — the exported-digest hash (see above).
+/// `seed` chains it over multiple inputs.
 inline std::uint64_t fnv1a64(std::span<const std::uint8_t> data,
                              std::uint64_t seed = 14695981039346656037ull) {
   std::uint64_t h = seed;

@@ -40,8 +40,9 @@ struct NetworkConfig {
   /// raised by the fault-injection tests).
   double loss_probability = 0.0;
   /// Independent per-packet in-flight corruption probability: one random
-  /// bit of the payload is flipped.  Totem's FNV-1a sealed envelope detects
-  /// and discards such packets, so corruption manifests upstream as loss.
+  /// bit of the payload is flipped.  Totem's sealed envelope (word_hash32,
+  /// which detects every single-bit flip by construction) discards such
+  /// packets, so corruption manifests upstream as loss.
   /// When 0 (the default) no RNG draw is made, so existing calibrated runs
   /// see an unchanged random sequence.
   double corrupt_probability = 0.0;

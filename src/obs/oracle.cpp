@@ -4,44 +4,10 @@
 #include <cstdlib>
 #include <sstream>
 
-
 #include "common/bytes.hpp"
 #include "common/logging.hpp"
 
 namespace cts::obs {
-
-namespace {
-
-// Payload fingerprint for the canonical-sequence divergence check.  Purely
-// oracle-internal (never exported, traced, or compared across builds), so it
-// does not need to be FNV-1a like the wire envelopes — and must not be:
-// FNV's byte-serial dependent multiply chain costs more per delivery than
-// the rest of the check combined.  This mixes 8 bytes per step instead.
-std::uint64_t payload_fingerprint(std::span<const std::uint8_t> p) {
-  // Two independent accumulator lanes: the multiplies of consecutive steps
-  // overlap in the pipeline instead of forming one serial dependency chain.
-  std::uint64_t h0 = 0x9e3779b97f4a7c15ull ^ (p.size() * 0xff51afd7ed558ccdull);
-  std::uint64_t h1 = 0xc4ceb9fe1a85ec53ull;
-  std::size_t i = 0;
-  for (; i + 16 <= p.size(); i += 16) {
-    const std::uint64_t w0 = load_u64le(p.data() + i);
-    const std::uint64_t w1 = load_u64le(p.data() + i + 8);
-    h0 = (h0 ^ (w0 * 0xff51afd7ed558ccdull)) * 0xc4ceb9fe1a85ec53ull;
-    h1 = (h1 ^ (w1 * 0x9e3779b97f4a7c15ull)) * 0xff51afd7ed558ccdull;
-  }
-  for (; i + 8 <= p.size(); i += 8) {
-    const std::uint64_t w = load_u64le(p.data() + i);
-    h0 = (h0 ^ (w * 0xff51afd7ed558ccdull)) * 0xc4ceb9fe1a85ec53ull;
-  }
-  std::uint64_t tail = 0;
-  for (std::size_t shift = 0; i < p.size(); ++i, shift += 8) {
-    tail |= static_cast<std::uint64_t>(p[i]) << shift;
-  }
-  std::uint64_t h = (h0 ^ (h1 >> 31) ^ tail) * 0xc4ceb9fe1a85ec53ull;
-  return h ^ (h >> 29);
-}
-
-}  // namespace
 
 const char* OrderingOracle::check_name(Check c) {
   switch (c) {
@@ -178,8 +144,9 @@ void OrderingOracle::on_gcs_deliver(NodeId node, GroupId dst_grp, ConnectionId c
 
   // Total order: each node's delivery sequence for a group must be a
   // subsequence of the canonical sequence (order of first delivery
-  // anywhere), with identical payload bytes per key.
-  const std::uint64_t hash = payload_fingerprint(payload);
+  // anywhere), with identical payload bytes per key.  The fingerprint is
+  // an integrity hash, never exported, so it is the fast word_hash64.
+  const std::uint64_t hash = word_hash64(payload);
   GroupCanon& canon = group_canon(dst_grp.value);
   StreamCanon& stream = stream_canon(
       dst_grp.value, canon,

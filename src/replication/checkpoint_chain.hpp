@@ -19,13 +19,16 @@
 // Invariants a verifier checks:
 //   * headers[i].parent == headers[i-1].link          (the chain links)
 //   * headers[i].link   == chain_link(header[i])      (links recompute)
-//   * headers.back().digest == fnv1a64(snapshot)      (snapshot matches)
+//   * headers.back().digest == snapshot_digest(snapshot)  (snapshot matches)
 //
 // The chain is bounded: only the newest kMaxHeaders links are kept (the
 // oldest retained header's parent is the trusted base).  Deterministic
 // processing means replicas that checkpoint at the same ordered points
 // build identical chains; a recovering replica adopts the serving
 // replica's chain wholesale along with the snapshot.
+//
+// Digests and links are word_hash64 (common/bytes.hpp): integrity values
+// that never leave the run, recomputed by every verifier.
 #pragma once
 
 #include <cstdint>
@@ -40,14 +43,19 @@ namespace cts::replication {
 /// One link of the hash-chained checkpoint history.
 struct CheckpointHeader {
   std::uint64_t upto = 0;    // requests covered by the snapshot
-  std::uint64_t digest = 0;  // fnv1a64 of the serialized snapshot
+  std::uint64_t digest = 0;  // snapshot_digest() of the serialized snapshot
   std::uint64_t parent = 0;  // link of the previous header (0 at the base)
   std::uint64_t link = 0;    // chain_link() over the three fields above
 
   friend bool operator==(const CheckpointHeader&, const CheckpointHeader&) = default;
 };
 
-/// The link value: fnv1a64 over the serialized (upto, digest, parent), so
+/// The digest a header records for its snapshot bytes.
+[[nodiscard]] inline std::uint64_t snapshot_digest(std::span<const std::uint8_t> snapshot) {
+  return word_hash64(snapshot);
+}
+
+/// The link value: word_hash64 over the serialized (upto, digest, parent), so
 /// a header can neither be reordered nor altered without breaking every
 /// later link.  The 24 bytes are laid out as BytesWriter::u64 would write
 /// them, in a stack buffer: a verifier computes one link per header.
@@ -57,7 +65,7 @@ struct CheckpointHeader {
   store_u64le(buf, upto);
   store_u64le(buf + 8, digest);
   store_u64le(buf + 16, parent);
-  return fnv1a64(buf);
+  return word_hash64(buf);
 }
 
 /// Append a header covering `upto` requests of `snapshot` to `chain`,
@@ -67,7 +75,7 @@ struct CheckpointHeader {
 inline void extend_chain(std::vector<CheckpointHeader>& chain, std::uint64_t upto,
                          std::span<const std::uint8_t> snapshot,
                          std::size_t max_headers = 64) {
-  const std::uint64_t digest = fnv1a64(snapshot);
+  const std::uint64_t digest = snapshot_digest(snapshot);
   if (!chain.empty() && chain.back().upto == upto && chain.back().digest == digest) return;
   CheckpointHeader h;
   h.upto = upto;
@@ -143,7 +151,7 @@ struct DecodedCheckpoint {
       return false;
     }
   }
-  return d.headers.back().digest == fnv1a64(d.snapshot);
+  return d.headers.back().digest == snapshot_digest(d.snapshot);
 }
 
 }  // namespace cts::replication

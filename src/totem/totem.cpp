@@ -27,9 +27,13 @@ BytesWriter begin_sealed(std::size_t body_size) {
 }
 
 Bytes finish_sealed(BytesWriter&& w) {
-  w.patch_u32(kEnvelopeChecksumOffset, fnv1a32(w.data(), kEnvelopeSize));
+  w.patch_u32(kEnvelopeChecksumOffset, envelope_checksum(w.data()));
   return std::move(w).take();
 }
+}  // namespace
+
+std::uint32_t envelope_checksum(std::span<const std::uint8_t> packet) {
+  return word_hash32(packet.subspan(std::min(packet.size(), kEnvelopeSize)));
 }
 
 TotemNode::TotemNode(sim::Simulator& sim, net::Network& net, NodeId id, TotemConfig cfg)
@@ -52,8 +56,7 @@ bool TotemNode::unseal(const SharedBytes& packet, BytesReader& out_reader) {
   // it before touching any field so truncated junk is dropped, not parsed.
   if (packet.size() < kEnvelopeSize) return false;
   if (load_u32le(packet.data()) != kPacketMagic) return false;
-  if (load_u32le(packet.data() + kEnvelopeChecksumOffset) !=
-      fnv1a32(packet.span(), kEnvelopeSize)) {
+  if (load_u32le(packet.data() + kEnvelopeChecksumOffset) != envelope_checksum(packet.span())) {
     return false;
   }
   out_reader = BytesReader(
@@ -217,6 +220,7 @@ void TotemNode::on_packet(NodeId src, const SharedBytes& data) {
   if (state_ == State::kDown) return;
   BytesReader r(std::span<const std::uint8_t>{});
   if (!unseal(data, r)) {
+    ++stats_.packets_rejected_envelope;
     CTS_DEBUG() << to_string(id_) << " dropped non-Totem/corrupt packet from "
                 << to_string(src);
     return;
@@ -332,6 +336,7 @@ void TotemNode::on_packet(NodeId src, const SharedBytes& data) {
         throw CodecError("unknown message type");
     }
   } catch (const CodecError& e) {
+    ++stats_.packets_rejected_body;
     CTS_WARN() << to_string(id_) << " dropped malformed packet from " << to_string(src) << ": "
                << e.what();
   }

@@ -132,9 +132,19 @@ struct TotemStats {
   // a member asked for a message the ring had declared stable: the
   // stability horizon was wrong.  Logged, never absorbed.
   std::uint64_t rtr_below_floor = 0;
+  // Received packets dropped before any handler ran: at the envelope
+  // (short, foreign magic, checksum mismatch) or in the body parser
+  // (truncated, trailing garbage, bad field).  Not exported as metrics.
+  std::uint64_t packets_rejected_envelope = 0;
+  std::uint64_t packets_rejected_body = 0;
 
   friend bool operator==(const TotemStats&, const TotemStats&) = default;
 };
+
+/// The sealed-envelope checksum of a Totem packet: word_hash32 over the
+/// body, every byte after the 8-byte [magic u32][checksum u32] envelope
+/// (PROTOCOL.md §2.1).  Encoders patch it in; every receiver recomputes it.
+[[nodiscard]] std::uint32_t envelope_checksum(std::span<const std::uint8_t> packet);
 
 /// One Totem protocol instance (one per simulated host).
 class TotemNode {
@@ -210,7 +220,7 @@ class TotemNode {
     kBatch = 5,  // all messages one node originated during one token visit
   };
 
-  /// Every Totem packet is wrapped in a magic + FNV-1a checksum envelope so
+  /// Every Totem packet is wrapped in a magic + checksum envelope so
   /// corrupted or foreign datagrams are dropped instead of being
   /// misinterpreted as protocol messages.  Encoders build the envelope and
   /// body scatter-gather in one buffer (begin/finish helpers in totem.cpp)

@@ -42,6 +42,7 @@ TEST(CheckpointChainTest, LinksChainParentToChild) {
   EXPECT_EQ(chain[1].parent, chain[0].link);
   EXPECT_EQ(chain[2].parent, chain[1].link);
   for (const auto& h : chain) EXPECT_EQ(h.link, chain_link(h.upto, h.digest, h.parent));
+  EXPECT_EQ(chain.back().digest, snapshot_digest(newest));
 }
 
 TEST(CheckpointChainTest, TamperedSnapshotByteIsRejected) {
@@ -88,23 +89,29 @@ TEST(CheckpointChainTest, ReorderedHeadersAreRejected) {
 
 TEST(CheckpointChainTest, CoveredCountMustNotDecrease) {
   // Two self-consistent links whose covered counts run backwards: each link
-  // recomputes, but the history is impossible and must be rejected.
-  std::vector<CheckpointHeader> chain;
-  Bytes newest = snap("older");
-  CheckpointHeader a;
-  a.upto = 50;
-  a.digest = fnv1a64(snap("newer"));
-  a.parent = 0;
-  a.link = chain_link(a.upto, a.digest, a.parent);
-  CheckpointHeader b;
-  b.upto = 20;
-  b.digest = fnv1a64(newest);
-  b.parent = a.link;
-  b.link = chain_link(b.upto, b.digest, b.parent);
-  chain = {a, b};
-  // Keep the encoded payload alive: DecodedCheckpoint::snapshot aliases it.
-  const Bytes payload = encode_chained_checkpoint(newest, chain);
-  auto d = decode_chained_checkpoint(payload);
+  // recomputes and the newest digest matches the snapshot, but the history
+  // is impossible and must be rejected.
+  const Bytes newest = snap("older");
+  const auto chain_with_newest_upto = [&](std::uint64_t upto) {
+    CheckpointHeader a;
+    a.upto = 50;
+    a.digest = snapshot_digest(snap("newer"));
+    a.parent = 0;
+    a.link = chain_link(a.upto, a.digest, a.parent);
+    CheckpointHeader b;
+    b.upto = upto;
+    b.digest = snapshot_digest(newest);
+    b.parent = a.link;
+    b.link = chain_link(b.upto, b.digest, b.parent);
+    return std::vector<CheckpointHeader>{a, b};
+  };
+  // Keep the encoded payloads alive: DecodedCheckpoint::snapshot aliases them.
+  const Bytes forward = encode_chained_checkpoint(newest, chain_with_newest_upto(60));
+  auto ok = decode_chained_checkpoint(forward);
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_TRUE(verify_chained_checkpoint(*ok)) << "control: the same chain counting forward";
+  const Bytes backward = encode_chained_checkpoint(newest, chain_with_newest_upto(20));
+  auto d = decode_chained_checkpoint(backward);
   ASSERT_TRUE(d.has_value());
   EXPECT_FALSE(verify_chained_checkpoint(*d));
 }

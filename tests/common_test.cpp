@@ -1,7 +1,8 @@
-// Unit tests for the common layer: strong ids, byte codec, RNG, histogram.
+// Unit tests for the common layer: strong ids, byte codec, word hashes, RNG, histogram.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/histogram.hpp"
@@ -177,6 +178,66 @@ TEST(BytesTest, RemainingTracksConsumption) {
   EXPECT_EQ(r.remaining(), 4u);
   r.u32();
   EXPECT_TRUE(r.done());
+}
+
+// --- Word hashes ------------------------------------------------------------------
+
+/// `len` pattern bytes at offset `off` of a buffer sized exactly off + len,
+/// so a hash that reads past its span trips ASan.
+Bytes hash_input(std::size_t off, std::size_t len) {
+  Bytes buf(off + len);
+  for (std::size_t i = 0; i < buf.size(); ++i) buf[i] = static_cast<std::uint8_t>(i * 131 + 17);
+  return buf;
+}
+
+TEST(WordHashTest, EveryBitFlipChangesBothHashes) {
+  // The detection guarantee, checked exhaustively: every single-bit flip,
+  // at every position of every length 0..64 (all tail shapes of both word
+  // widths) and of a 7,000-byte batch-sized frame, at two alignments.
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = 0; len <= 64; ++len) lengths.push_back(len);
+  lengths.push_back(7000);
+  for (const std::size_t off : {std::size_t{0}, std::size_t{8}}) {
+    for (const std::size_t len : lengths) {
+      Bytes buf = hash_input(off, len);
+      const std::span<const std::uint8_t> in = std::span<const std::uint8_t>(buf).subspan(off);
+      const std::uint32_t h32 = word_hash32(in);
+      const std::uint64_t h64 = word_hash64(in);
+      int misses = 0;
+      for (std::size_t bit = 0; bit < 8 * len; ++bit) {
+        const auto mask = static_cast<std::uint8_t>(1u << (bit % 8));
+        buf[off + bit / 8] ^= mask;
+        misses += word_hash32(in) == h32;
+        misses += word_hash64(in) == h64;
+        buf[off + bit / 8] ^= mask;
+      }
+      EXPECT_EQ(misses, 0) << "len " << len << " offset " << off;
+    }
+  }
+}
+
+TEST(WordHashTest, HashDependsOnlyOnTheSpannedBytes) {
+  for (std::size_t len = 0; len <= 40; ++len) {
+    const Bytes a = hash_input(0, len);
+    Bytes b(8 + len + 1, 0xee);  // the same bytes between foreign guard bytes
+    std::copy(a.begin(), a.end(), b.begin() + 8);
+    const auto in_b = std::span<const std::uint8_t>(b).subspan(8, len);
+    EXPECT_EQ(word_hash32(a), word_hash32(in_b)) << len;
+    EXPECT_EQ(word_hash64(a), word_hash64(in_b)) << len;
+  }
+}
+
+TEST(WordHashTest, LengthIsFoldedIntoTheHash) {
+  // All-zero inputs differ only in length: trailing zero bytes must count.
+  std::set<std::uint32_t> h32;
+  std::set<std::uint64_t> h64;
+  for (std::size_t len = 0; len <= 64; ++len) {
+    const Bytes zeros(len, 0);
+    h32.insert(word_hash32(zeros));
+    h64.insert(word_hash64(zeros));
+  }
+  EXPECT_EQ(h32.size(), 65u);
+  EXPECT_EQ(h64.size(), 65u);
 }
 
 // --- RNG --------------------------------------------------------------------------

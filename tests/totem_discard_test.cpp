@@ -211,16 +211,6 @@ TEST(TotemDiscardTest, SafeMessagesAreNeverDiscardedBeforeDelivery) {
   EXPECT_EQ(r.delivered[2], r.delivered[0]);
 }
 
-// FNV-1a over data[from..), the sealed-envelope checksum.
-std::uint32_t envelope_checksum(const Bytes& data, std::size_t from) {
-  std::uint32_t h = 2166136261u;
-  for (std::size_t i = from; i < data.size(); ++i) {
-    h ^= data[i];
-    h *= 16777619u;
-  }
-  return h;
-}
-
 Bytes forge_token(RingId ring, std::uint64_t token_seq, TotemSeq seq,
                   const std::vector<TotemSeq>& rtr) {
   BytesWriter w;
@@ -236,7 +226,7 @@ Bytes forge_token(RingId ring, std::uint64_t token_seq, TotemSeq seq,
   w.u32(static_cast<std::uint32_t>(rtr.size()));
   for (TotemSeq s : rtr) w.u64(s);
   Bytes packet = std::move(w).take();
-  store_u32le(packet.data() + 4, envelope_checksum(packet, 8));
+  store_u32le(packet.data() + 4, envelope_checksum(packet));  // the production seal
   return packet;
 }
 

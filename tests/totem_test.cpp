@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "net/network.hpp"
+#include "obs/recorder.hpp"
 #include "sim/simulator.hpp"
 #include "totem/totem.hpp"
 
@@ -407,25 +408,18 @@ TEST(TotemCancelTest, CancelDuringATokenVisitSplitsAtTheBatchBoundary) {
 // An attacker (or a flaky NIC) can put arbitrary datagrams on the wire; the
 // envelope check must reject them before any field is parsed, and a valid
 // envelope around a truncated body must fail through BytesReader's explicit
-// CodecError path — never an out-of-bounds read.
+// CodecError path — never an out-of-bounds read.  Each test asserts WHERE
+// its packets died (packets_rejected_envelope vs packets_rejected_body): a
+// forged body that only died at the checksum would test nothing.
 
-// FNV-1a over data[from..), mirroring the sealed-envelope checksum so the
-// tests can forge packets with a *valid* envelope but a malformed body.
-std::uint32_t test_fnv1a(const Bytes& data, std::size_t from) {
-  std::uint32_t h = 2166136261u;
-  for (std::size_t i = from; i < data.size(); ++i) {
-    h ^= data[i];
-    h *= 16777619u;
-  }
-  return h;
-}
-
+// Seal `body` with the production envelope checksum, so the tests can forge
+// packets with a *valid* envelope but a malformed body.
 Bytes forge_sealed(const Bytes& body) {
   constexpr std::uint32_t kMagic = 0x544f544d;  // "TOTM"
   Bytes packet(8 + body.size(), 0);
   std::copy(body.begin(), body.end(), packet.begin() + 8);
   store_u32le(packet.data(), kMagic);
-  store_u32le(packet.data() + 4, test_fnv1a(packet, 8));
+  store_u32le(packet.data() + 4, envelope_checksum(packet));
   return packet;
 }
 
@@ -444,6 +438,15 @@ struct InjectionFixture {
     c.sim.run_for(10'000);
   }
 
+  /// Every node dropped exactly `envelope` injected packets at the envelope
+  /// check and `body` in the body parser (each injection reaches all three).
+  void expect_rejected(std::uint64_t envelope, std::uint64_t body) {
+    for (auto& n : c.nodes) {
+      EXPECT_EQ(n->stats().packets_rejected_envelope, envelope) << to_string(n->id());
+      EXPECT_EQ(n->stats().packets_rejected_body, body) << to_string(n->id());
+    }
+  }
+
   /// The ring must still form, order, and deliver after the injection.
   void expect_ring_still_healthy() {
     const auto before = c.delivered[1].size();
@@ -460,6 +463,7 @@ TEST(TotemRobustnessTest, ShortPacketsAreRejected) {
   f.inject(Bytes{});                    // empty datagram
   f.inject(Bytes{0x4d});                // 1 byte
   f.inject(Bytes{1, 2, 3, 4, 5, 6, 7});  // 7 bytes: one short of the envelope
+  f.expect_rejected(3, 0);
   f.expect_ring_still_healthy();
 }
 
@@ -467,6 +471,7 @@ TEST(TotemRobustnessTest, ForeignMagicIsRejected) {
   InjectionFixture f;
   Bytes junk(64, 0xab);  // plausible length, wrong magic
   f.inject(junk);
+  f.expect_rejected(1, 0);
   f.expect_ring_still_healthy();
 }
 
@@ -475,6 +480,7 @@ TEST(TotemRobustnessTest, BitFlippedPacketFailsTheChecksum) {
   Bytes packet = forge_sealed(msg("payload-bytes"));
   packet.back() ^= 0x01;  // corrupt one bit of the body
   f.inject(packet);
+  f.expect_rejected(1, 0);
   f.expect_ring_still_healthy();
 }
 
@@ -493,6 +499,7 @@ TEST(TotemRobustnessTest, ValidEnvelopeTruncatedBodyIsDropped) {
   w.u8(0);          // delivery class
   w.u32(100'000);   // payload length prefix with no payload behind it
   f.inject(forge_sealed(std::move(w).take()));
+  f.expect_rejected(0, 2);
   f.expect_ring_still_healthy();
 }
 
@@ -509,6 +516,7 @@ TEST(TotemRobustnessTest, TruncatedTokenDoesNotStallTheRing) {
   w.u32(0);               // fcc
   w.u32(0xffffffffu);     // rtr count: lies
   f.inject(forge_sealed(std::move(w).take()));
+  f.expect_rejected(0, 1);
   f.expect_ring_still_healthy();
 }
 
@@ -530,6 +538,7 @@ TEST(TotemRobustnessTest, TrailingGarbageAfterAValidMcastIsRejected) {
   w.u8(7), w.u8(8), w.u8(9);
   w.u8(0xee);        // trailing garbage
   f.inject(forge_sealed(std::move(w).take()));
+  f.expect_rejected(0, 1);
   EXPECT_EQ(f.c.nodes[0]->view().ring_id, ring_before) << "garbage packet disturbed the ring";
   f.expect_ring_still_healthy();
 }
@@ -549,6 +558,7 @@ TEST(TotemRobustnessTest, TrailingGarbageAfterAValidBatchIsRejected) {
   w.u8(1), w.u8(2);
   w.u8(0xee);        // ...but bytes left over after the last entry
   f.inject(forge_sealed(std::move(w).take()));
+  f.expect_rejected(0, 1);
   EXPECT_EQ(f.c.nodes[0]->view().ring_id, ring_before);
   f.expect_ring_still_healthy();
 }
@@ -567,6 +577,7 @@ TEST(TotemRobustnessTest, BatchCountLyingBeyondTheBodyIsRejected) {
   w.u8(0);           // kAgreed
   w.u32(0);          // empty payload
   f.inject(forge_sealed(std::move(w).take()));
+  f.expect_rejected(0, 1);
   f.expect_ring_still_healthy();
 }
 
@@ -594,6 +605,7 @@ TEST(TotemRobustnessTest, InvalidDeliveryClassIsRejected) {
   b.u8(7);           // bogus delivery class inside a batch entry
   b.u32(0);
   f.inject(forge_sealed(std::move(b).take()));
+  f.expect_rejected(0, 2);
   f.expect_ring_still_healthy();
 }
 
@@ -603,6 +615,7 @@ TEST(TotemRobustnessTest, UnknownMessageTypeIsRejected) {
   w.u8(9);  // no such MsgType
   w.u64(1);
   f.inject(forge_sealed(std::move(w).take()));
+  f.expect_rejected(0, 1);
   f.expect_ring_still_healthy();
 }
 
@@ -622,7 +635,55 @@ TEST(TotemRobustnessTest, TrailingGarbageAfterAValidTokenIsRejected) {
   w.u32(0);          // rtr count
   w.u8(0xee);        // trailing garbage
   f.inject(forge_sealed(std::move(w).take()));
+  f.expect_rejected(0, 1);
   f.expect_ring_still_healthy();
+}
+
+TEST(TotemRobustnessTest, InFlightBitFlipsDieAtTheEnvelope) {
+  // One random bit of 2% of all packets flips in flight.  The envelope
+  // checksum must catch every one of them — none may reach the body parser
+  // — and the ring must still deliver one sequence everywhere, under an
+  // ordering oracle that stays silent.
+  net::NetworkConfig ncfg;
+  ncfg.corrupt_probability = 0.02;
+  Cluster c(3, ncfg);
+  obs::Recorder rec(c.sim);
+  obs::OrderingOracle& orc = rec.enable_oracle(/*abort_on_violation=*/false);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    TotemNode& n = *c.nodes[i];
+    n.set_view_handler([&c, &orc, i, &n](const View& v) {
+      c.views[i].push_back(v);
+      orc.on_view_installed(n.id(), v.ring_id, v.members);
+    });
+    n.set_deliver_handler([&c, &orc, i, &n](NodeId sender, const SharedBytes& b) {
+      c.delivered[i].push_back(str(b));
+      // Payload "m<k>": message k, one stream for the whole ring.
+      orc.on_gcs_deliver(n.id(), GroupId{1}, ConnectionId{1}, 0, ThreadId{0},
+                         std::stoull(str(b).substr(1)), sender, b.span());
+    });
+  }
+  c.start_all();
+  ASSERT_TRUE(c.converge());
+  constexpr int kMsgs = 300;
+  for (int k = 0; k < kMsgs; ++k) {
+    c.nodes[static_cast<std::size_t>(k) % 3]->multicast(msg("m" + std::to_string(k)));
+    c.sim.run_for(1'000);
+  }
+  c.sim.run_for(500'000);
+
+  std::uint64_t envelope = 0;
+  for (auto& n : c.nodes) {
+    envelope += n->stats().packets_rejected_envelope;
+    EXPECT_EQ(n->stats().packets_rejected_body, 0u) << to_string(n->id());
+  }
+  EXPECT_GT(c.net.stats().packets_corrupted, 0u);
+  EXPECT_GT(envelope, 0u);
+  ASSERT_EQ(c.delivered[0].size(), static_cast<std::size_t>(kMsgs));
+  EXPECT_EQ(c.delivered[1], c.delivered[0]);
+  EXPECT_EQ(c.delivered[2], c.delivered[0]);
+  EXPECT_GT(orc.checks_run(), 0u);
+  EXPECT_EQ(orc.violations(), 0u)
+      << (orc.violation_log().empty() ? std::string() : orc.violation_log().front().detail);
 }
 
 TEST(TotemStatsTest, TokensCirculateWhileIdle) {

@@ -63,6 +63,8 @@ KNOWN_BENCHMARKS = frozenset({
     "BM_RngGaussian",
     "BM_HistogramAdd",
     "BM_FullStackSimulationSpeed",
+    # Totem envelope seal + verify (53-byte token, 7 KiB batch frame).
+    "BM_EnvelopeSealVerify",
 })
 
 # Optimization PRs whose before/after pair is part of the recorded history:
@@ -80,6 +82,9 @@ REQUIRED_PAIR_PREFIXES = frozenset({
     # Spin-then-park island barrier with stealing (BM_ArchipelagoEventsPerSec,
     # BM_ShardedGatewayOpsPerSec at CTS_SIM_THREADS=4).
     "pr18",
+    # Word-at-a-time integrity hashes (BM_EnvelopeSealVerify,
+    # BM_StateTransferVerify, BM_RingBatchThroughput, BM_TokenRingEventsPerSec).
+    "pr21",
 })
 RECORDED_TRAJECTORY = "BENCH_sim_core.json"
 
