@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <exception>
 #include <stdexcept>
+#include <string_view>
 
 #include "app/archipelago.hpp"
 #include "app/kv_store.hpp"
@@ -437,6 +438,13 @@ ScenarioArgs parse_scenario_args(int argc, const char* const* argv) {
   ScenarioArgs args;
   ScenarioSpec& o = args.spec;
   args.seeds = {o.seed};
+  // Flags only the single-ring Testbed honours (run_archipelago does not
+  // forward them), and the last of them given.  Tracked by name, not by
+  // value: the rings run with checkpoint_every 0, not the default.
+  static constexpr std::string_view kOneRingOnly[] = {"--clock-offset",   "--clock-drift",
+                                                      "--drift",          "--mean-delay",
+                                                      "--reference-gain", "--checkpoint-every"};
+  std::string one_ring_flag;
   try {
     auto need = [&](int& i) -> std::string {
       if (++i >= argc) throw std::invalid_argument("missing value");
@@ -444,6 +452,9 @@ ScenarioArgs parse_scenario_args(int argc, const char* const* argv) {
     };
     for (int i = 1; i < argc; ++i) {
       const std::string a = argv[i];
+      if (std::find(std::begin(kOneRingOnly), std::end(kOneRingOnly), a) != std::end(kOneRingOnly)) {
+        one_ring_flag = a;
+      }
       if (a == "--servers") o.servers = std::stoul(need(i));
       else if (a == "--style") {
         const auto v = need(i);
@@ -497,6 +508,9 @@ ScenarioArgs parse_scenario_args(int argc, const char* const* argv) {
   if (o.rings > 1 && (o.durable || o.shards > 1)) {
     args.error = "--rings > 1 does not support --durable/--shards";
   }
+  if (o.rings > 1 && !one_ring_flag.empty()) {
+    args.error = "--rings > 1 does not support " + one_ring_flag + " (one ring only)";
+  }
   // Every seed would write the same export path at once.
   auto env_set = [](const char* name) {
     const char* v = std::getenv(name);
@@ -518,12 +532,12 @@ const char* scenario_usage() {
          "  --seed N|A,B|A-B        seed, seed list or inclusive range (default 1); several\n"
          "                          seeds print one JSON line each, in the order given\n"
          "  --loss P                packet loss probability (default 0)\n"
-         "  --clock-offset US       max initial hw clock offset, us (default 500000)\n"
-         "  --clock-drift PPM       max hw clock drift, ppm (default 50)\n"
-         "  --checkpoint-every N    passive checkpoint cadence, requests (default 5)\n"
-         "  --drift D               none | mean | reference (drift compensation)\n"
-         "  --mean-delay US         mean-delay compensation constant (default 40)\n"
-         "  --reference-gain G      reference-bias gain (default 0.1)\n"
+         "  --clock-offset US       max initial hw clock offset, us (default 500000; one ring only)\n"
+         "  --clock-drift PPM       max hw clock drift, ppm (default 50; one ring only)\n"
+         "  --checkpoint-every N    passive checkpoint cadence, requests (default 5; one ring only)\n"
+         "  --drift D               none | mean | reference (drift compensation; one ring only)\n"
+         "  --mean-delay US         mean-delay compensation constant (default 40; one ring only)\n"
+         "  --reference-gain G      reference-bias gain (default 0.1; one ring only)\n"
          "  --crash R@T             crash replica R (of ring 0) at time T (e.g. 2@100ms, 0@1s)\n"
          "  --recover R@T           recover replica R (of ring 0) at time T\n"
          "  --shards N              request-processing shards per replica (default 1)\n"

@@ -104,6 +104,9 @@ bool ConsistentTimeService::start_round_impl(ThreadId thread, ClockCallType call
                                             RoundContinuation done) {
   register_thread(thread);  // idempotent; tolerates lazy registration
   CcsHandler& h = handlers_.at(thread);
+  // The state-transfer special round is traced by its completion only: it
+  // records no kCcsRoundStart or kCcsSendAvoided event.
+  const bool traced = rec_ != nullptr && thread != kSpecialThread;
   if (h.waiting) {
     // Always-on guard (paper 3.1: clock-related operations within a thread
     // are sequential).  Proceeding would silently clobber the in-flight
@@ -116,10 +119,10 @@ bool ConsistentTimeService::start_round_impl(ThreadId thread, ClockCallType call
     CTS_ERROR() << "replica " << to_string(cfg_.replica) << ": clock-related operation started on "
                 << to_string(thread) << " while round " << h.my_round_number
                 << " is still in flight; call rejected";
-    // For a coroutine continuation the awaiter retains ownership of the
-    // suspended frame on this path (it resumes the frame with kNoTime), so
-    // `done` must not destroy the frame when it goes out of scope.
-    done.release();
+    // A rejected coroutine resumes with kNoTime (through the scope, like a
+    // completed round) rather than suspending forever; a rejected callback
+    // is dropped without being run.
+    if (done.is_coroutine()) done(kNoTime);
     return false;
   }
 
@@ -132,7 +135,7 @@ bool ConsistentTimeService::start_round_impl(ThreadId thread, ClockCallType call
   h.call_type = call_type;
   h.sent_this_round = false;
   h.waiting = std::move(done);
-  if (rec_) {
+  if (traced) {
     rec_->event(obs::EventKind::kCcsRoundStart, gcs_.node_id(), cfg_.replica, thread.value,
                 static_cast<std::int64_t>(h.my_round_number));
   }
@@ -142,11 +145,11 @@ bool ConsistentTimeService::start_round_impl(ThreadId thread, ClockCallType call
   // dies, set_primary() re-issues the proposal.
   if (h.my_input_buffer.empty()) {
     const bool may_send = cfg_.style == ReplicationStyle::kActive || primary_;
-    if (may_send && !recovering_) send_proposal(h, /*special=*/false);
+    if (may_send && !recovering_) send_proposal(h);
   } else {
     ++stats_.sends_avoided;
     if (c_avoided_) ++*c_avoided_;
-    if (rec_) {
+    if (traced) {
       rec_->event(obs::EventKind::kCcsSendAvoided, gcs_.node_id(), cfg_.replica, thread.value,
                   static_cast<std::int64_t>(h.my_round_number));
     }
@@ -156,7 +159,8 @@ bool ConsistentTimeService::start_round_impl(ThreadId thread, ClockCallType call
   return true;
 }
 
-void ConsistentTimeService::send_proposal(CcsHandler& h, bool special) {
+void ConsistentTimeService::send_proposal(CcsHandler& h) {
+  const bool special = h.my_thread_id == kSpecialThread;
   CcsPayload p;
   p.thread = h.my_thread_id;
   p.call_type = h.call_type;
@@ -211,68 +215,18 @@ void ConsistentTimeService::on_ccs_delivered(const gcs::Message& m) {
   last_group_clock_ = effective;
   p.proposed_clock = effective;
 
+  BufferedMsg b{p, m.hdr.seq, m.hdr.sender_replica, m.hdr.sender_node};
   if (p.special_round) {
-    if (recovering_) {
-      // Section 3.2: the recovering replica does not compete; it performs a
-      // clock-related operation as soon as it receives the special-round
-      // CCS message and adjusts its offset to the group clock.
-      const Micros pc = clock_.read();
-      my_clock_offset_ = effective - pc;
-      CcsHandler& sh = handlers_[kSpecialThread];
-      sh.my_thread_id = kSpecialThread;
-      sh.my_round_number = m.hdr.seq;
-      sh.last_seq_seen = m.hdr.seq;
-      recovering_ = false;
-      ++stats_.special_rounds;
-      if (orc_) {
-        orc_->on_round_complete(cfg_.group, cfg_.replica, kSpecialThread, m.hdr.seq, effective,
-                                m.hdr.sender_replica, /*special=*/true);
-      }
-      CTS_INFO() << "replica " << to_string(cfg_.replica)
-                 << " clock initialized from group clock " << effective << " (offset "
-                 << my_clock_offset_ << ")";
-      if (recovery_done_) {
-        auto done = std::move(recovery_done_);
-        recovery_done_ = nullptr;
-        done(effective);
-      }
-      return;
-    }
-    CcsHandler& sh = handlers_[kSpecialThread];
-    if (m.hdr.seq <= sh.last_seq_seen) {
-      ++stats_.duplicates_dropped;
-      if (c_duplicates_) ++*c_duplicates_;
-      return;
-    }
-    if (sh.waiting) {
-      // This replica ran run_special_round() and is blocked on the result:
-      // complete it through the normal path.
-      sh.last_seq_seen = m.hdr.seq;
-      BufferedMsg b{p, m.hdr.seq, m.hdr.sender_replica, m.hdr.sender_node};
-      sh.my_input_buffer.push_back(std::move(b));
-      try_complete(sh);
+    CcsHandler& sh = handlers_.at(kSpecialThread);
+    if (!recovering_ && (sh.waiting || b.seq <= sh.last_seq_seen)) {
+      // This replica ran run_special_round() and is blocked on the result
+      // (or the message is a duplicate): the normal path handles it.
+      recv_into_handler(sh, std::move(b));
     } else {
-      // A passive backup never processes GET_STATE, so it adopts the
-      // special round's value directly, keeping its offset and round
-      // numbering aligned with the rest of the group.
-      const Micros pc = clock_.read();
-      my_clock_offset_ = effective - pc;
-      sh.my_round_number = m.hdr.seq;
-      sh.last_seq_seen = m.hdr.seq;
-      ++stats_.special_rounds;
-      if (orc_) {
-        orc_->on_round_complete(cfg_.group, cfg_.replica, kSpecialThread, m.hdr.seq, effective,
-                                m.hdr.sender_replica, /*special=*/true);
-      }
+      adopt_special_round(sh, b);
     }
     return;
   }
-
-  BufferedMsg b;
-  b.payload = p;
-  b.seq = m.hdr.seq;
-  b.sender_replica = m.hdr.sender_replica;
-  b.sender_node = m.hdr.sender_node;
 
   auto it = handlers_.find(m.hdr.tag);
   if (it == handlers_.end()) {
@@ -296,6 +250,31 @@ void ConsistentTimeService::recv_into_handler(CcsHandler& h, BufferedMsg msg) {
   h.my_input_buffer.push_back(std::move(msg));
   // Figure 3, lines 8-9: wake the blocked thread, if any.
   try_complete(h);
+}
+
+void ConsistentTimeService::adopt_special_round(CcsHandler& sh, const BufferedMsg& msg) {
+  // Section 3.2: a replica that is not blocked on the special round — the
+  // recovering replica, which does not compete, or a passive backup, which
+  // never processes GET_STATE — adopts the delivered group clock directly,
+  // aligning its offset and round numbering with the rest of the group.
+  const Micros grp = msg.payload.proposed_clock;
+  my_clock_offset_ = grp - clock_.read();
+  sh.my_round_number = msg.seq;
+  sh.last_seq_seen = msg.seq;
+  ++stats_.special_rounds;
+  if (orc_) {
+    orc_->on_round_complete(cfg_.group, cfg_.replica, kSpecialThread, msg.seq, grp,
+                            msg.sender_replica, /*special=*/true);
+  }
+  if (!recovering_) return;
+  recovering_ = false;
+  CTS_INFO() << "replica " << to_string(cfg_.replica) << " clock initialized from group clock "
+             << grp << " (offset " << my_clock_offset_ << ")";
+  if (recovery_done_) {
+    auto done = std::move(recovery_done_);
+    recovery_done_ = nullptr;
+    done(grp);
+  }
 }
 
 void ConsistentTimeService::try_complete(CcsHandler& h) {
@@ -395,7 +374,7 @@ void ConsistentTimeService::set_primary(bool primary) {
   // non-empty and nothing needs to be sent.
   for (auto& [t, h] : handlers_) {
     if (h.waiting && h.my_input_buffer.empty() && !h.sent_this_round) {
-      send_proposal(h, t == kSpecialThread);
+      send_proposal(h);
       ++stats_.proposals_resent;
       if (rec_) {
         rec_->event(obs::EventKind::kProposalResent, gcs_.node_id(), cfg_.replica, t.value,
@@ -406,39 +385,6 @@ void ConsistentTimeService::set_primary(bool primary) {
 }
 
 // --- Recovery -------------------------------------------------------------------------
-
-bool ConsistentTimeService::run_special_round(DoneFn done) {
-  CcsHandler& h = handlers_.at(kSpecialThread);
-  if (h.waiting) {
-    // Always-on guard: special rounds are serialized by the state-transfer
-    // protocol; a second one in flight means the caller broke that
-    // serialization and would clobber the pending DoneFn.
-    ++stats_.reentrant_rejected;
-    if (c_reentrant_) ++*c_reentrant_;
-    if (rec_) {
-      rec_->event(obs::EventKind::kCcsReentrantCall, gcs_.node_id(), cfg_.replica,
-                  kSpecialThread.value);
-    }
-    CTS_ERROR() << "replica " << to_string(cfg_.replica)
-                << ": special round started while one is still in flight; call rejected";
-    return false;
-  }
-  ++h.my_round_number;
-  h.pc_at_round = clock_.read();
-  h.proposed_at_round = propose_local_clock(h.pc_at_round);
-  h.call_type = ClockCallType::kGettimeofday;
-  h.sent_this_round = false;
-  h.waiting = std::move(done);
-  if (h.my_input_buffer.empty()) {
-    const bool may_send = cfg_.style == ReplicationStyle::kActive || primary_;
-    if (may_send) send_proposal(h, /*special=*/true);
-  } else {
-    ++stats_.sends_avoided;
-    if (c_avoided_) ++*c_avoided_;
-  }
-  try_complete(h);
-  return true;
-}
 
 void ConsistentTimeService::begin_recovery(DoneFn initialized) {
   recovering_ = true;

@@ -22,9 +22,18 @@
 //     over after a primary crash first checks its input buffer and only
 //     sends if the old primary's message never made it.
 //
-// Recovery (Section 3.2): during state transfer a special CCS round is run;
-// the recovering replica does not compete, it adopts the delivered group
-// clock value to initialize its offset.
+// Every round — callback or coroutine, ordinary thread or the special
+// thread — starts in one place, start_round_impl(): the reentrancy guard,
+// the clock read and proposal, and the send-or-avoid step are written once.
+// A round started while its thread already has one in flight is rejected:
+// a coroutine caller resumes with kNoTime through its own
+// RoundContinuation, and a callback is dropped without being run.
+//
+// Recovery (Section 3.2): during state transfer a special CCS round is run
+// on kSpecialThread.  A replica blocked on that round completes it like
+// any other; the recovering replica (which does not compete) and a passive
+// backup (which never serves GET_STATE) adopt the delivered group clock
+// value directly to set their offsets.
 //
 // Drift compensation (Section 3.3): optional strategies — add a mean delay
 // (fixed, or estimated online) to the offset each time it is recalculated,
@@ -186,19 +195,6 @@ class RoundContinuation {
   /// shutdown hook counts those when abandoning in-flight rounds).
   [[nodiscard]] bool is_coroutine() const { return coro_ != nullptr; }
 
-  /// Disown the continuation WITHOUT running or destroying it.  Rejection
-  /// paths use this: the awaiter that parked the coroutine handle keeps
-  /// ownership of the suspended frame (it resumes it with kNoTime), so the
-  /// by-value continuation must not destroy the frame when it goes out of
-  /// scope — that would leave the awaiter writing into, and resuming, a
-  /// freed frame.
-  void release() {
-    coro_ = nullptr;
-    out_ = nullptr;
-    scope_ = nullptr;
-    cb_ = nullptr;
-  }
-
  private:
   void drop() {
     if (coro_) std::exchange(coro_, nullptr).destroy();
@@ -248,36 +244,37 @@ class ConsistentTimeService {
   /// Coroutine form of start_round(): parks `h` with destroy-on-drop
   /// semantics so a service torn down mid-round cannot leak the suspended
   /// frame.  On completion, writes the group clock through `out` and
-  /// resumes `h` via the event queue.  Same rejection rule as above.
+  /// resumes `h` via the event queue.  A rejected call (same rule as
+  /// above) writes kNoTime and resumes `h` the same way.
   bool start_round(ThreadId thread, ClockCallType call_type, std::coroutine_handle<> h,
                    Micros* out) {
     return start_round_impl(thread, call_type, RoundContinuation{h, out, scope_});
   }
 
-  /// Awaitable form for simulated logical threads:
-  ///   Micros now = co_await svc.get_time(thread);
-  struct TimeAwaiter {
+  /// One round awaited by a coroutine: resumes (through the replica's
+  /// scope) with the group clock, or with kNoTime if `thread` already had a
+  /// round in flight.  The coroutine facades — get_time(), TimeSyscalls,
+  /// ConsistentIdGenerator, CausalMessenger — derive from it and differ
+  /// only in await_resume().
+  struct RoundAwaiter {
     ConsistentTimeService& svc;
     ThreadId thread;
     ClockCallType call_type;
     Micros value = 0;
 
     bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
-      if (!svc.start_round(thread, call_type, h, &value)) {
-        // Rejected (a round is already in flight for this thread): resume
-        // with kNoTime rather than suspending forever.  The resume is
-        // scope-owned like every other node-scheduled event.
-        value = kNoTime;
-        svc.scope_.after(0, sim::Simulator::CoroResume{h});
-      }
-    }
+    void await_suspend(std::coroutine_handle<> h) { svc.start_round(thread, call_type, h, &value); }
+  };
+
+  /// Awaitable form for simulated logical threads:
+  ///   Micros now = co_await svc.get_time(thread);
+  struct TimeAwaiter : RoundAwaiter {
     Micros await_resume() const noexcept { return value; }
   };
 
   [[nodiscard]] TimeAwaiter get_time(ThreadId thread,
                                      ClockCallType ct = ClockCallType::kGettimeofday) {
-    return TimeAwaiter{*this, thread, ct, 0};
+    return TimeAwaiter{{*this, thread, ct}};
   }
 
   // --- Primary/backup control (passive & semi-active) ---------------------------
@@ -295,7 +292,9 @@ class ConsistentTimeService {
   /// the round completes at this replica.  Special rounds are serialized
   /// by the state-transfer protocol; like start_round(), a call while one
   /// is already in flight is rejected with a loud error and returns false.
-  bool run_special_round(DoneFn done);
+  bool run_special_round(DoneFn done) {
+    return start_round(kSpecialThread, ClockCallType::kGettimeofday, std::move(done));
+  }
 
   /// At a recovering replica: enter recovery mode.  The replica will not
   /// compete; the next special-round CCS message initializes its offset.
@@ -374,8 +373,11 @@ class ConsistentTimeService {
   bool start_round_impl(ThreadId thread, ClockCallType call_type, RoundContinuation done);
   void on_ccs_delivered(const gcs::Message& m);
   void recv_into_handler(CcsHandler& h, BufferedMsg msg);
+  /// Section 3.2 at a replica not blocked on the special round (the
+  /// recovering replica, or a passive backup): adopt its group clock.
+  void adopt_special_round(CcsHandler& sh, const BufferedMsg& msg);
   void try_complete(CcsHandler& h);
-  void send_proposal(CcsHandler& h, bool special);
+  void send_proposal(CcsHandler& h);
   [[nodiscard]] Micros propose_local_clock(Micros physical);
   /// Fail-stop teardown (the scope's shutdown hook): drop every parked
   /// round continuation — destroying suspended caller frames — and the
@@ -424,8 +426,6 @@ class ConsistentTimeService {
   obs::Counter* c_duplicates_ = nullptr;
   obs::Counter* c_reentrant_ = nullptr;
   Histogram* h_skew_ = nullptr;
-
-  friend struct TimeAwaiter;
 };
 
 }  // namespace cts::ccs

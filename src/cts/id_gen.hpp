@@ -33,26 +33,15 @@ class ConsistentIdGenerator {
     time_.register_thread(thread_);
   }
 
-  /// Awaitable form: `std::uint64_t id = co_await gen.make_id();`
-  ///
-  /// Parks the coroutine handle directly in the CTS round (destroy-on-drop:
-  /// a node torn down mid-round destroys this frame instead of leaking it,
-  /// and the resume trampoline is owned by the node's lifecycle scope).
-  struct IdAwaiter {
+  /// Awaitable form: `std::uint64_t id = co_await gen.make_id();` — one
+  /// group-clock round on the generator's thread.
+  struct IdAwaiter : ConsistentTimeService::RoundAwaiter {
     ConsistentIdGenerator& gen;
-    Micros raw = 0;
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
-      if (!gen.time_.start_round(gen.thread_, ClockCallType::kClockGettime, h, &raw)) {
-        // Rejected (a round is already in flight on the generator's
-        // thread): resume with kNoTime instead of suspending forever.
-        raw = kNoTime;
-        gen.time_.scope().after(0, sim::Simulator::CoroResume{h});
-      }
-    }
-    std::uint64_t await_resume() noexcept { return ConsistentIdGenerator::mix(raw, ++gen.counter_, gen.ns_); }
+    std::uint64_t await_resume() noexcept { return mix(value, ++gen.counter_, gen.ns_); }
   };
-  [[nodiscard]] IdAwaiter make_id() { return IdAwaiter{*this, 0}; }
+  [[nodiscard]] IdAwaiter make_id() {
+    return IdAwaiter{{time_, thread_, ClockCallType::kClockGettime}, *this};
+  }
 
   /// The deterministic mixing function (exposed for tests).
   static std::uint64_t mix(Micros group_time, std::uint64_t counter, std::uint64_t ns) {
@@ -76,8 +65,6 @@ class ConsistentIdGenerator {
   ThreadId thread_;
   std::uint64_t ns_;
   std::uint64_t counter_ = 0;
-
-  friend struct IdAwaiter;
 };
 
 }  // namespace cts::ccs

@@ -25,7 +25,6 @@
 // silently swallowed.
 #pragma once
 
-#include <coroutine>
 #include <utility>
 
 #include "common/bytes.hpp"
@@ -124,31 +123,23 @@ class CausalMessenger {
   /// the stream had a round in flight.  The send happens on the resumed
   /// side of the round, so a replica that crashes mid-round simply never
   /// sends — the surviving replicas' identical copies carry the handoff.
-  struct StampAwaiter {
+  struct StampAwaiter : ConsistentTimeService::RoundAwaiter {
     CausalMessenger& msgr;
     GroupId dst_group;
     ConnectionId conn;
     MsgSeqNum seq;
     Bytes body;
-    Micros ts = 0;
 
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
-      if (!msgr.time_.start_round(msgr.thread_, ClockCallType::kGettimeofday, h, &ts)) {
-        ts = kNoTime;
-        msgr.time_.scope().after(0, sim::Simulator::CoroResume{h});
-      }
-    }
     Micros await_resume() {
-      if (ts != kNoTime) {
-        msgr.send_stamped(dst_group, conn, seq, std::move(body), ts);
-      }
-      return ts;
+      if (value != kNoTime) msgr.send_stamped(dst_group, conn, seq, std::move(body), value);
+      return value;
     }
   };
   [[nodiscard]] StampAwaiter send(GroupId dst_group, ConnectionId conn, MsgSeqNum seq,
                                   Bytes body) {
-    return StampAwaiter{*this, dst_group, conn, seq, std::move(body), 0};
+    return StampAwaiter{
+        {time_, thread_, ClockCallType::kGettimeofday}, *this, dst_group, conn, seq,
+        std::move(body)};
   }
 
   [[nodiscard]] GroupId group() const { return my_group_; }

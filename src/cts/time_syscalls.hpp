@@ -10,8 +10,6 @@
 // (microseconds / seconds / milliseconds).
 #pragma once
 
-#include <coroutine>
-
 #include "cts/consistent_time_service.hpp"
 
 namespace cts::ccs {
@@ -51,26 +49,9 @@ class TimeSyscalls {
 
   /// Awaitable mapping the raw group-clock microseconds through a
   /// resolution-preserving conversion.
-  template <typename Result, ClockCallType kType, Result (*Convert)(Micros)>
-  struct Call {
-    ConsistentTimeService& svc;
-    ThreadId thread;
-    Micros raw = 0;
-
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
-      // The parked handle has destroy-on-drop semantics: tearing the
-      // service down mid-round destroys this frame instead of leaking it.
-      if (!svc.start_round(thread, kType, h, &raw)) {
-        // Rejected (round already in flight on this thread): resume with
-        // kNoTime rather than suspending forever.  The resume event is
-        // owned by the node's lifecycle scope like every other
-        // node-scheduled continuation.
-        raw = kNoTime;
-        svc.scope().after(0, sim::Simulator::CoroResume{h});
-      }
-    }
-    Result await_resume() const { return Convert(raw); }
+  template <typename Result, Result (*Convert)(Micros)>
+  struct Call : ConsistentTimeService::RoundAwaiter {
+    Result await_resume() const { return Convert(value); }
   };
 
   static TimeVal to_timeval(Micros us) { return TimeVal::from_us(us); }
@@ -82,21 +63,21 @@ class TimeSyscalls {
   // detlint:allow(wall-clock): interposed-symbol facade — reads the CCS
   // group clock, never the host clock; the name mirrors the libc symbol.
   auto gettimeofday() {
-    return Call<TimeVal, ClockCallType::kGettimeofday, &TimeSyscalls::to_timeval>{svc_, thread_};
+    return Call<TimeVal, &TimeSyscalls::to_timeval>{{svc_, thread_, ClockCallType::kGettimeofday}};
   }
 
   /// time(2): whole seconds.
   // detlint:allow(wall-clock): interposed-symbol facade — reads the CCS
   // group clock, never the host clock; the name mirrors the libc symbol.
   auto time() {
-    return Call<std::int64_t, ClockCallType::kTime, &TimeSyscalls::to_seconds>{svc_, thread_};
+    return Call<std::int64_t, &TimeSyscalls::to_seconds>{{svc_, thread_, ClockCallType::kTime}};
   }
 
   /// ftime(3): millisecond resolution.
   // detlint:allow(wall-clock): interposed-symbol facade — reads the CCS
   // group clock, never the host clock; the name mirrors the libc symbol.
   auto ftime() {
-    return Call<TimeB, ClockCallType::kFtime, &TimeSyscalls::to_timeb>{svc_, thread_};
+    return Call<TimeB, &TimeSyscalls::to_timeb>{{svc_, thread_, ClockCallType::kFtime}};
   }
 
   /// clock_gettime(2) with CLOCK_REALTIME: microseconds (ns granularity is
@@ -104,7 +85,7 @@ class TimeSyscalls {
   // detlint:allow(wall-clock): interposed-symbol facade — reads the CCS
   // group clock, never the host clock; the name mirrors the libc symbol.
   auto clock_gettime() {
-    return Call<Micros, ClockCallType::kClockGettime, &TimeSyscalls::to_micros>{svc_, thread_};
+    return Call<Micros, &TimeSyscalls::to_micros>{{svc_, thread_, ClockCallType::kClockGettime}};
   }
 
   [[nodiscard]] ThreadId thread() const { return thread_; }

@@ -16,13 +16,20 @@ constexpr ThreadId kColdStateTag{2};
 const char* const kCheckpointKey = "replica-checkpoint";
 
 /// The covered-request count a snapshot declares (its trailing u64),
-/// without applying it.  Throws CodecError on a malformed snapshot.
-std::uint64_t peek_covered(std::span<const std::uint8_t> snapshot) {
-  BytesReader r(snapshot);
-  const auto shard_count = r.u32();
-  for (std::uint32_t i = 0; i < shard_count; ++i) r.skip(r.u32());  // app states
-  r.skip(r.u32());                                                  // cts state
-  return r.u64();
+/// without applying it.  Nullopt for a malformed snapshot, or one whose
+/// shard count is not `shards` (the chain hash is no MAC: any sender can
+/// recompute it over a snapshot of the wrong layout).
+std::optional<std::uint64_t> peek_covered(std::span<const std::uint8_t> snapshot,
+                                          std::size_t shards) {
+  try {
+    BytesReader r(snapshot);
+    if (r.u32() != shards) return std::nullopt;
+    for (std::size_t i = 0; i < shards; ++i) r.skip(r.u32());  // app states
+    r.skip(r.u32());                                           // cts state
+    return r.u64();
+  } catch (const CodecError&) {
+    return std::nullopt;
+  }
 }
 }  // namespace
 
@@ -119,19 +126,11 @@ void ReplicaManager::send_get_state() {
   saw_own_get_state_ = false;
   for (auto& sh : shards_) sh.queue.clear();
 
-  gcs::Message m;
-  m.hdr.type = gcs::MsgType::kGetState;
-  m.hdr.src_grp = cfg_.group;
-  m.hdr.dst_grp = cfg_.group;
-  m.hdr.conn = cfg_.state_conn;
-  m.hdr.tag = kRecoveryStateTag;
   // Simulated time is strictly monotone across this replica's recoveries,
   // so it serves as a unique recovery-epoch number.
-  m.hdr.seq = static_cast<MsgSeqNum>(sim_.now()) + 1;
-  m.hdr.sender_replica = cfg_.replica;
-  recovery_epoch_ = m.hdr.seq;
+  recovery_epoch_ = static_cast<MsgSeqNum>(sim_.now()) + 1;
   if (orc_) orc_->on_recovery_epoch(cfg_.group, cfg_.replica, recovery_epoch_);
-  gcs_.send(std::move(m));
+  gcs_.send(state_message(gcs::MsgType::kGetState, kRecoveryStateTag, recovery_epoch_));
 
   // Re-issues can overlap an armed retry (e.g. a checkpoint raced clock
   // initialization): drop the stale timer first — it would only bail on its
@@ -156,9 +155,7 @@ void ReplicaManager::start_cold() {
       // payload carries its header chain, so a damaged checkpoint is
       // detected and ignored instead of booting the replica into garbage.
       if (auto d = verify_state_payload(*state)) {
-        apply_full_checkpoint(d->snapshot);
-        chain_ = std::move(d->headers);
-        note_chain(/*verified=*/true);
+        adopt_checkpoint(std::move(*d), /*persist=*/nullptr);
         delivery_count_ = processed_count_;
         CTS_INFO() << "replica " << to_string(cfg_.replica) << " cold-started from disk ("
                    << processed_count_ << " requests covered)";
@@ -172,19 +169,23 @@ void ReplicaManager::start_cold() {
   // Announce the restored state: peers whose disks are staler adopt it.
   // (Deterministic processing means equal covered-counts imply equal
   // state, so the announcement with the highest count wins everywhere.)
-  gcs::Message m;
-  m.hdr.type = gcs::MsgType::kState;
-  m.hdr.src_grp = cfg_.group;
-  m.hdr.dst_grp = cfg_.group;
-  m.hdr.conn = cfg_.state_conn;
-  m.hdr.tag = kColdStateTag;
-  m.hdr.seq = processed_count_ + 1;  // dedup keeps the freshest announcement
-  m.hdr.sender_replica = cfg_.replica;
+  // The seq lets dedup keep the freshest announcement.
+  gcs::Message m = state_message(gcs::MsgType::kState, kColdStateTag, processed_count_ + 1);
   m.payload = chained_checkpoint();
   gcs_.send(std::move(m));
 }
 
-void ReplicaManager::stop() { gcs_.leave_group(cfg_.group, cfg_.replica); }
+gcs::Message ReplicaManager::state_message(gcs::MsgType type, ThreadId tag, MsgSeqNum seq) const {
+  gcs::Message m;
+  m.hdr.type = type;
+  m.hdr.src_grp = cfg_.group;
+  m.hdr.dst_grp = cfg_.group;
+  m.hdr.conn = cfg_.state_conn;
+  m.hdr.tag = tag;
+  m.hdr.seq = seq;
+  m.hdr.sender_replica = cfg_.replica;
+  return m;
+}
 
 // --- Message routing ---------------------------------------------------------------
 
@@ -314,19 +315,22 @@ void ReplicaManager::process(std::uint32_t shard, PendingRequest req) {
         since_checkpoint_ >= cfg_.checkpoint_every_requests) {
       take_periodic_checkpoint();
     }
-    Shard& sh = shards_[shard];
-    sh.processing = false;
+    shards_[shard].processing = false;
     maybe_persist_after_request();
-    // Trampoline through the event queue so long synchronous bursts do not
-    // recurse.  The event is scope-owned: a crash (or manager destruction)
-    // cancels it instead of pumping a dead replica.
-    if (!sh.pump_armed) {
-      sh.pump_armed = true;
-      sh.pump_event = scope_.after(0, [this, shard] {
-        shards_[shard].pump_armed = false;
-        pump(shard);
-      });
-    }
+    schedule_pump(shard);
+  });
+}
+
+void ReplicaManager::schedule_pump(std::uint32_t shard) {
+  // Trampoline through the event queue so long synchronous bursts do not
+  // recurse.  The event is scope-owned: a crash (or manager destruction)
+  // cancels it instead of pumping a dead replica.
+  Shard& sh = shards_[shard];
+  if (sh.pump_armed) return;
+  sh.pump_armed = true;
+  sh.pump_event = scope_.after(0, [this, shard] {
+    shards_[shard].pump_armed = false;
+    pump(shard);
   });
 }
 
@@ -363,7 +367,7 @@ Bytes ReplicaManager::full_checkpoint() const {
 Bytes ReplicaManager::chained_checkpoint() {
   const Bytes snapshot = full_checkpoint();
   extend_chain(chain_, processed_count_, snapshot);
-  note_chain(/*verified=*/true);
+  note_chain();
   return encode_chained_checkpoint(snapshot, chain_);
 }
 
@@ -374,11 +378,7 @@ std::optional<DecodedCheckpoint> ReplicaManager::verify_state_payload(
   if (ok) {
     // The newest link must describe THIS snapshot's covered count, or the
     // chain was grafted onto a different snapshot.
-    try {
-      ok = d->headers.back().upto == peek_covered(d->snapshot);
-    } catch (const CodecError&) {
-      ok = false;
-    }
+    ok = peek_covered(d->snapshot, shards_.size()) == d->headers.back().upto;
   }
   if (!ok) {
     ++stats_.checkpoints_rejected;
@@ -390,12 +390,8 @@ std::optional<DecodedCheckpoint> ReplicaManager::verify_state_payload(
 
 void ReplicaManager::apply_full_checkpoint(std::span<const std::uint8_t> state) {
   BytesReader r(state);
-  const auto shard_count = r.u32();
-  assert(shard_count == shards_.size() && "checkpoint shard layout mismatch");
-  for (std::uint32_t i = 0; i < shard_count; ++i) {
-    const Bytes app_state = r.bytes();
-    shards_[i].app->restore(app_state);
-  }
+  r.u32();  // the shard count, checked against shards_ by verify_state_payload()
+  for (auto& sh : shards_) sh.app->restore(r.bytes());
   const Bytes cts_state = r.bytes();
   const std::uint64_t covered = r.u64();
   cts_.restore(cts_state);
@@ -462,37 +458,16 @@ void ReplicaManager::serve_state_transfer(const gcs::Message& get_state) {
   // Section 3.2: a special round of consistent clock synchronization is
   // taken immediately before the checkpoint, so the recovering replica can
   // initialize its offset from the group clock.
-  cts_.run_special_round([this, get_state](Micros) {
-    gcs::Message m;
-    m.hdr.type = gcs::MsgType::kState;
-    m.hdr.src_grp = cfg_.group;
-    m.hdr.dst_grp = cfg_.group;
-    m.hdr.conn = cfg_.state_conn;
-    m.hdr.tag = kRecoveryStateTag;
-    m.hdr.seq = get_state.hdr.seq;  // pairs the checkpoint with its request
-    m.hdr.sender_replica = cfg_.replica;
-    m.payload = chained_checkpoint();
-    const auto ckpt_bytes = m.payload.size();
-    gcs_.send(std::move(m));
-    ++stats_.checkpoints_taken;
-    if (rec_) {
-      ++*c_checkpoints_taken_;
-      rec_->event(obs::EventKind::kCheckpointTaken, gcs_.node_id(), cfg_.replica,
-                  static_cast<std::int64_t>(ckpt_bytes));
-    }
-    // Release the barriers (scope-owned trampolines, same as pump()).
+  cts_.run_special_round([this, epoch = get_state.hdr.seq](Micros) {
+    // The seq pairs the checkpoint with its GET_STATE.
+    send_checkpoint(kRecoveryStateTag, epoch, /*keep_copy=*/false);
+    // Release the barriers.
     for (std::uint32_t s = 0; s < shards_.size(); ++s) {
       Shard& sh = shards_[s];
       assert(sh.at_barrier && !sh.queue.empty());
       sh.queue.pop_front();
       sh.at_barrier = false;
-      if (!sh.pump_armed) {
-        sh.pump_armed = true;
-        sh.pump_event = scope_.after(0, [this, s] {
-          shards_[s].pump_armed = false;
-          pump(s);
-        });
-      }
+      schedule_pump(s);
     }
   });
 }
@@ -515,13 +490,22 @@ void ReplicaManager::maybe_persist_after_request() {
   persist_locally(chained_checkpoint());
 }
 
+Bytes ReplicaManager::send_checkpoint(ThreadId tag, MsgSeqNum seq, bool keep_copy) {
+  gcs::Message m = state_message(gcs::MsgType::kState, tag, seq);
+  m.payload = chained_checkpoint();
+  const auto ckpt_bytes = m.payload.size();
+  Bytes copy = keep_copy ? m.payload.to_bytes() : Bytes{};
+  gcs_.send(std::move(m));
+  ++stats_.checkpoints_taken;
+  if (rec_) {
+    ++*c_checkpoints_taken_;
+    rec_->event(obs::EventKind::kCheckpointTaken, gcs_.node_id(), cfg_.replica,
+                static_cast<std::int64_t>(ckpt_bytes));
+  }
+  return copy;
+}
+
 void ReplicaManager::take_periodic_checkpoint() {
-  gcs::Message m;
-  m.hdr.type = gcs::MsgType::kState;
-  m.hdr.src_grp = cfg_.group;
-  m.hdr.dst_grp = cfg_.group;
-  m.hdr.conn = cfg_.state_conn;
-  m.hdr.tag = kPeriodicStateTag;
   // The seq is the covered-request count, not a per-replica counter: GCS
   // drops a kState whose seq is not above the last one delivered on this
   // stream, and the stream outlives any one primary.  One primary's seqs
@@ -530,19 +514,9 @@ void ReplicaManager::take_periodic_checkpoint() {
   // the view again) starts from the checkpoint it applied last and
   // processes at least one more request before its first send, so that
   // send covers strictly more requests than the checkpoint it applied.
-  m.hdr.seq = processed_count_;
-  m.hdr.sender_replica = cfg_.replica;
-  m.payload = chained_checkpoint();
-  const auto ckpt_bytes = m.payload.size();
   // Persist the bytes being sent instead of building the checkpoint again.
-  Bytes persisted = cfg_.stable_store != nullptr ? m.payload.to_bytes() : Bytes{};
-  gcs_.send(std::move(m));
-  ++stats_.checkpoints_taken;
-  if (rec_) {
-    ++*c_checkpoints_taken_;
-    rec_->event(obs::EventKind::kCheckpointTaken, gcs_.node_id(), cfg_.replica,
-                static_cast<std::int64_t>(ckpt_bytes));
-  }
+  Bytes persisted =
+      send_checkpoint(kPeriodicStateTag, processed_count_, cfg_.stable_store != nullptr);
   since_checkpoint_ = 0;
   persist_locally(std::move(persisted));
 }
@@ -569,10 +543,7 @@ void ReplicaManager::on_state(const gcs::Message& m) {
       send_get_state();
       return;
     }
-    apply_full_checkpoint(d->snapshot);
-    chain_ = std::move(d->headers);
-    note_chain(/*verified=*/true);
-    persist_locally(m.payload.to_bytes());
+    adopt_checkpoint(std::move(*d), &m.payload);
     recovering_ = false;
     gcs_.join_group(cfg_.group, cfg_.replica);  // now a full member
     std::size_t queued = 0;
@@ -602,11 +573,8 @@ void ReplicaManager::on_state(const gcs::Message& m) {
     // A cold-start announcement: adopt it only if it is strictly fresher
     // than our own restored state (equal counts imply equal state).
     if (d->headers.back().upto > processed_count_) {
-      apply_full_checkpoint(d->snapshot);
-      chain_ = std::move(d->headers);
-      note_chain(/*verified=*/true);
+      adopt_checkpoint(std::move(*d), &m.payload);
       delivery_count_ = processed_count_;
-      persist_locally(m.payload.to_bytes());
     }
     return;
   }
@@ -617,19 +585,23 @@ void ReplicaManager::on_state(const gcs::Message& m) {
   // Existing replicas: the primary ignores its own checkpoints; passive
   // backups apply both periodic and recovery checkpoints to stay fresh.
   if (cfg_.style == ReplicationStyle::kPassive && !primary_) {
-    apply_full_checkpoint(d->snapshot);
-    chain_ = std::move(d->headers);
-    note_chain(/*verified=*/true);
-    persist_locally(m.payload.to_bytes());
+    adopt_checkpoint(std::move(*d), &m.payload);
   }
 }
 
-void ReplicaManager::note_chain(bool verified) {
+void ReplicaManager::adopt_checkpoint(DecodedCheckpoint d, const SharedBytes* persist) {
+  apply_full_checkpoint(d.snapshot);
+  chain_ = std::move(d.headers);
+  note_chain();
+  if (persist != nullptr) persist_locally(persist->to_bytes());
+}
+
+void ReplicaManager::note_chain() {
   if (!orc_) return;
   std::vector<obs::CheckpointLink> links;
   links.reserve(chain_.size());
   for (const auto& h : chain_) links.push_back({h.upto, h.digest, h.parent, h.link});
-  orc_->on_checkpoint_chain(cfg_.group, cfg_.replica, links, verified);
+  orc_->on_checkpoint_chain(cfg_.group, cfg_.replica, links, /*verified=*/true);
 }
 
 void ReplicaManager::set_recorder(obs::Recorder* rec) {

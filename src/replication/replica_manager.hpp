@@ -134,9 +134,6 @@ class ReplicaManager {
   /// before the outage.
   void start_cold();
 
-  /// Leave the group cleanly.
-  void stop();
-
   [[nodiscard]] bool is_primary() const { return primary_; }
   [[nodiscard]] bool recovered() const { return !recovering_; }
   [[nodiscard]] const ManagerStats& stats() const { return stats_; }
@@ -152,10 +149,6 @@ class ReplicaManager {
   /// wires the embedded ConsistentTimeService.
   void set_recorder(obs::Recorder* rec);
 
-  /// Report the current checkpoint chain to the ordering oracle (no-op
-  /// without one).  Called at every adoption/extension site.
-  void note_chain(bool verified);
-
  private:
   struct PendingRequest {
     gcs::Message msg;
@@ -170,11 +163,19 @@ class ReplicaManager {
   void on_state(const gcs::Message& m);
 
   void pump(std::uint32_t shard);
+  /// Pump `shard` from a fresh event (at most one in flight per shard).
+  void schedule_pump(std::uint32_t shard);
   void process(std::uint32_t shard, PendingRequest req);
   void maybe_serve_barrier();
   [[nodiscard]] std::uint32_t shard_of(const gcs::Message& m) const;
   void serve_state_transfer(const gcs::Message& get_state);
   void take_periodic_checkpoint();
+  /// Every message on the state connection (GET_STATE and the three kState
+  /// streams, see doc/PROTOCOL.md §5) is addressed to this group.
+  [[nodiscard]] gcs::Message state_message(gcs::MsgType type, ThreadId tag, MsgSeqNum seq) const;
+  /// Build a chained checkpoint, multicast it on kState stream `tag` with
+  /// `seq`, and count it.  Returns a copy of the payload if `keep_copy`.
+  Bytes send_checkpoint(ThreadId tag, MsgSeqNum seq, bool keep_copy);
   /// Write a chained-checkpoint payload (one already built, sent or
   /// verified) to stable storage.
   void persist_locally(Bytes payload);
@@ -191,6 +192,13 @@ class ReplicaManager {
   /// digest covers the shipped snapshot.
   std::optional<DecodedCheckpoint> verify_state_payload(std::span<const std::uint8_t> payload);
   void apply_full_checkpoint(std::span<const std::uint8_t> state);
+  /// Adopt a verified checkpoint: apply its snapshot, continue its chain,
+  /// and write `persist` (the payload it arrived in) to stable storage
+  /// unless it is null.
+  void adopt_checkpoint(DecodedCheckpoint d, const SharedBytes* persist);
+  /// Report the current checkpoint chain to the ordering oracle (no-op
+  /// without one).  Called at every adoption/extension site.
+  void note_chain();
 
   sim::Simulator& sim_;
   gcs::GcsEndpoint& gcs_;

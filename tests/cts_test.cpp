@@ -3,100 +3,23 @@
 // common input buffer, and the interposed syscall facade.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
-#include "clock/physical_clock.hpp"
 #include "cts/consistent_time_service.hpp"
+#include "cts/id_gen.hpp"
+#include "cts/multigroup.hpp"
 #include "cts/time_syscalls.hpp"
+#include "cts_rig.hpp"
 #include "gcs/gcs.hpp"
-#include "net/network.hpp"
 #include "sim/simulator.hpp"
-#include "totem/totem.hpp"
 
 namespace cts::ccs {
 namespace {
 
-constexpr GroupId kGroup{1};
-constexpr ConnectionId kCcsConn{100};
-constexpr ThreadId kThread0{0};
-
-/// A full replica-group rig: N hosts, each with a Totem node, a GCS
-/// endpoint, a drifting physical clock, and a ConsistentTimeService.
-struct Rig {
-  sim::Simulator sim;
-  net::Network net;
-  std::vector<std::unique_ptr<totem::TotemNode>> totems;
-  std::vector<std::unique_ptr<gcs::GcsEndpoint>> eps;
-  std::vector<std::unique_ptr<clock::PhysicalClock>> clocks;
-  std::vector<std::unique_ptr<ConsistentTimeService>> svcs;
-  std::vector<std::vector<Micros>> readings;      // group clock values per replica
-  std::vector<std::vector<RoundResult>> rounds;   // observer records per replica
-
-  explicit Rig(std::size_t n, ReplicationStyle style = ReplicationStyle::kActive,
-               std::uint64_t seed = 1, DriftCompensation drift = DriftCompensation::kNone,
-               Micros max_forward_jump = 0)
-      : sim(seed), net(sim, {}) {
-    totem::TotemConfig tcfg;
-    for (std::uint32_t i = 0; i < n; ++i) tcfg.universe.push_back(NodeId{i});
-    readings.resize(n);
-    rounds.resize(n);
-    Rng clock_rng(seed * 7919 + 13);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      totems.push_back(std::make_unique<totem::TotemNode>(sim, net, NodeId{i}, tcfg));
-      eps.push_back(std::make_unique<gcs::GcsEndpoint>(sim, *totems.back()));
-      clocks.push_back(std::make_unique<clock::PhysicalClock>(
-          sim, clock::random_clock_config(clock_rng)));
-      CtsConfig cfg;
-      cfg.group = kGroup;
-      cfg.ccs_conn = kCcsConn;
-      cfg.replica = ReplicaId{i};
-      cfg.style = style;
-      cfg.drift = drift;
-      cfg.max_forward_jump_us = max_forward_jump;
-      svcs.push_back(std::make_unique<ConsistentTimeService>(sim, *eps.back(), *clocks.back(), cfg));
-      svcs.back()->set_round_observer(
-          [this, i](const RoundResult& rr) { rounds[i].push_back(rr); });
-      if (style != ReplicationStyle::kActive) svcs.back()->set_primary(i == 0);
-    }
-  }
-
-  void start(Micros settle = 100'000) {
-    for (std::uint32_t i = 0; i < totems.size(); ++i) {
-      totems[i]->start();
-      eps[i]->join_group(kGroup, ReplicaId{i});
-    }
-    sim.run_for(settle);
-  }
-
-  /// One replica's logical thread performing `ops` sequential clock reads
-  /// with deterministic pseudo-random inter-op delays (the paper's "empty
-  /// iteration loop" between operations).
-  sim::Task worker(std::uint32_t i, int ops, std::uint64_t delay_seed) {
-    Rng rng(delay_seed * 1000 + i);
-    for (int k = 0; k < ops; ++k) {
-      co_await sim.delay(rng.range(60, 400));
-      const Micros v = co_await svcs[i]->get_time(kThread0);
-      readings[i].push_back(v);
-    }
-  }
-
-  void run_workers(int ops, Micros budget = 60'000'000, std::uint64_t delay_seed = 42) {
-    for (std::uint32_t i = 0; i < svcs.size(); ++i) worker(i, ops, delay_seed);
-    const Micros deadline = sim.now() + budget;
-    while (sim.now() < deadline) {
-      sim.run_until(sim.now() + 10'000);
-      bool all_done = true;
-      for (auto& r : readings) all_done &= (r.size() >= static_cast<std::size_t>(ops));
-      if (all_done) return;
-    }
-  }
-};
-
 // --- Agreement -------------------------------------------------------------------
 
 TEST(CtsAgreementTest, AllReplicasReturnIdenticalSequences) {
-  Rig rig(3);
+  CtsRig rig(3);
   rig.start();
   rig.run_workers(100);
   ASSERT_EQ(rig.readings[0].size(), 100u);
@@ -106,7 +29,7 @@ TEST(CtsAgreementTest, AllReplicasReturnIdenticalSequences) {
 
 TEST(CtsAgreementTest, HoldsDespiteWildlyDifferentPhysicalClocks) {
   // Force extreme disagreement between the hardware clocks.
-  Rig rig(3);
+  CtsRig rig(3);
   rig.start();
   // Replace clock configs by constructing a fresh rig is complex; instead
   // verify the existing random clocks disagree, then check agreement.
@@ -120,7 +43,7 @@ TEST(CtsAgreementTest, HoldsDespiteWildlyDifferentPhysicalClocks) {
 }
 
 TEST(CtsAgreementTest, TwoReplicaGroupAgrees) {
-  Rig rig(2);
+  CtsRig rig(2);
   rig.start();
   rig.run_workers(60);
   ASSERT_EQ(rig.readings[0].size(), 60u);
@@ -129,7 +52,7 @@ TEST(CtsAgreementTest, TwoReplicaGroupAgrees) {
 
 TEST(CtsAgreementTest, DeterministicAcrossIdenticalRuns) {
   auto run = [](std::uint64_t seed) {
-    Rig rig(3, ReplicationStyle::kActive, seed);
+    CtsRig rig(3, {.seed = seed});
     rig.start();
     rig.run_workers(40);
     return rig.readings[0];
@@ -140,7 +63,7 @@ TEST(CtsAgreementTest, DeterministicAcrossIdenticalRuns) {
 // --- Monotonicity -----------------------------------------------------------------
 
 TEST(CtsMonotonicityTest, GroupClockStrictlyIncreases) {
-  Rig rig(3);
+  CtsRig rig(3);
   rig.start();
   rig.run_workers(200);
   for (auto& r : rig.readings) {
@@ -154,7 +77,7 @@ TEST(CtsMonotonicityTest, GroupClockStrictlyIncreases) {
 TEST(CtsMonotonicityTest, GroupClockNeverExceedsFastestProposal) {
   // Validity: each round's value is some replica's genuine proposal (modulo
   // the monotonic clamp, which never fires in single-thread workloads).
-  Rig rig(3);
+  CtsRig rig(3);
   rig.start();
   rig.run_workers(50);
   for (std::uint32_t i = 0; i < 3; ++i) {
@@ -170,7 +93,7 @@ TEST(CtsMonotonicityTest, GroupClockNeverExceedsFastestProposal) {
 // --- Offset maintenance --------------------------------------------------------------
 
 TEST(CtsOffsetTest, OffsetEqualsGroupClockMinusPhysical) {
-  Rig rig(3);
+  CtsRig rig(3);
   rig.start();
   rig.run_workers(30);
   for (std::uint32_t i = 0; i < 3; ++i) {
@@ -184,7 +107,7 @@ TEST(CtsOffsetTest, FirstRoundUsesRawPhysicalClock) {
   // Paper Figure 2, lines 1-2: offset starts at zero, so the first CCS
   // message proposes the raw physical clock value of whichever replica
   // wins the first round.
-  Rig rig(3);
+  CtsRig rig(3);
   rig.start();
   rig.run_workers(1);
   const Micros v = rig.readings[0][0];
@@ -201,7 +124,7 @@ TEST(CtsOffsetTest, FirstRoundUsesRawPhysicalClock) {
 TEST(CtsOffsetTest, OffsetTrendIsDecreasingWithoutCompensation) {
   // Section 3.3 / Figure 6(b): because the winner's proposal excludes the
   // communication delay of the previous round, offsets drift downward.
-  Rig rig(3);
+  CtsRig rig(3);
   rig.start();
   rig.run_workers(300);
   const auto& rs = rig.rounds[0];
@@ -212,7 +135,7 @@ TEST(CtsOffsetTest, OffsetTrendIsDecreasingWithoutCompensation) {
 // --- Winner / synchronizer behavior ------------------------------------------------------
 
 TEST(CtsWinnerTest, SynchronizerRotatesAmongReplicas) {
-  Rig rig(3);
+  CtsRig rig(3);
   rig.start();
   rig.run_workers(200);
   std::set<std::uint32_t> winners;
@@ -223,7 +146,7 @@ TEST(CtsWinnerTest, SynchronizerRotatesAmongReplicas) {
 }
 
 TEST(CtsWinnerTest, AllReplicasAgreeOnTheWinnerSequence) {
-  Rig rig(3);
+  CtsRig rig(3);
   rig.start();
   rig.run_workers(80);
   for (std::uint32_t i = 1; i < 3; ++i) {
@@ -238,7 +161,7 @@ TEST(CtsWinnerTest, AllReplicasAgreeOnTheWinnerSequence) {
 // --- Duplicate suppression ------------------------------------------------------------------
 
 TEST(CtsSuppressionTest, RoughlyOneCcsMessagePerRoundOnTheWire) {
-  Rig rig(3);
+  CtsRig rig(3);
   rig.start();
   const int kOps = 200;
   rig.run_workers(kOps);
@@ -252,7 +175,7 @@ TEST(CtsSuppressionTest, RoughlyOneCcsMessagePerRoundOnTheWire) {
 }
 
 TEST(CtsSuppressionTest, SlowReplicaAvoidsSendingEntirely) {
-  Rig rig(3);
+  CtsRig rig(3);
   rig.start();
   // Replica 2's worker starts 5 ms late every round-trip: its CCS message
   // is always already buffered when it performs the operation.
@@ -284,7 +207,7 @@ TEST(CtsSuppressionTest, SlowReplicaAvoidsSendingEntirely) {
 // --- Common input buffer ----------------------------------------------------------------------
 
 TEST(CtsCommonBufferTest, MessagesForUnregisteredThreadArePreserved) {
-  Rig rig(2);
+  CtsRig rig(2);
   rig.start();
   const ThreadId late_thread{9};
   // Replica 0 runs a round on thread 9 before replica 1 has registered it.
@@ -304,7 +227,7 @@ TEST(CtsCommonBufferTest, MessagesForUnregisteredThreadArePreserved) {
 }
 
 TEST(CtsCommonBufferTest, MultipleThreadsHaveIndependentRounds) {
-  Rig rig(2);
+  CtsRig rig(2);
   rig.start();
   // Run two logical threads on both replicas.
   std::vector<std::vector<Micros>> r0(2), r1(2);
@@ -328,7 +251,7 @@ TEST(CtsCommonBufferTest, MultipleThreadsHaveIndependentRounds) {
 // --- Stats ------------------------------------------------------------------------------------
 
 TEST(CtsStatsTest, RoundsCompletedMatchesOperations) {
-  Rig rig(3);
+  CtsRig rig(3);
   rig.start();
   rig.run_workers(25);
   for (auto& svc : rig.svcs) {
@@ -337,7 +260,7 @@ TEST(CtsStatsTest, RoundsCompletedMatchesOperations) {
 }
 
 TEST(CtsStatsTest, RoundsWonSumToTotalRounds) {
-  Rig rig(3);
+  CtsRig rig(3);
   rig.start();
   rig.run_workers(50);
   std::uint64_t won = 0;
@@ -357,7 +280,7 @@ TEST(TimeSyscallsTest, ConversionsPreserveResolution) {
 }
 
 TEST(TimeSyscallsTest, DifferentSyscallsAgreeAcrossReplicas) {
-  Rig rig(2);
+  CtsRig rig(2);
   rig.start();
   std::vector<TimeVal> tv(2);
   std::vector<std::int64_t> tt(2);
@@ -381,7 +304,7 @@ TEST(TimeSyscallsTest, DifferentSyscallsAgreeAcrossReplicas) {
 }
 
 TEST(TimeSyscallsTest, CallTypeTravelsInTheRound) {
-  Rig rig(2);
+  CtsRig rig(2);
   rig.start();
   auto w = [&](std::uint32_t i) -> sim::Task {
     TimeSyscalls sys(*rig.svcs[i], ThreadId{4});
@@ -402,8 +325,7 @@ TEST(CtsForwardGuardTest, SteppedClockCannotYankTheGroupClockForward) {
   // Replica 0's hardware clock is stepped +60s mid-run.  With the guard
   // enabled, even rounds it WINS advance the group clock by at most the
   // configured bound, and agreement is preserved.
-  Rig rig(3, ReplicationStyle::kActive, 1, DriftCompensation::kNone,
-          /*max_forward_jump=*/50'000);
+  CtsRig rig(3, {.max_forward_jump_us = 50'000});
   rig.start();
   rig.run_workers(30);
   rig.clocks[0]->step(60'000'000);
@@ -419,7 +341,7 @@ TEST(CtsForwardGuardTest, SteppedClockCannotYankTheGroupClockForward) {
 }
 
 TEST(CtsForwardGuardTest, GuardOffAllowsTheJump) {
-  Rig rig(3, ReplicationStyle::kActive, 1, DriftCompensation::kNone, /*max_forward_jump=*/0);
+  CtsRig rig(3, {.max_forward_jump_us = 0});
   rig.start();
   rig.run_workers(10);
   const Micros before_step = rig.readings[0].back();
@@ -435,21 +357,21 @@ TEST(CtsForwardGuardTest, GuardOffAllowsTheJump) {
 // --- Checkpoint / restore ----------------------------------------------------------------------
 
 TEST(CtsCheckpointTest, RoundNumbersSurviveCheckpointRestore) {
-  Rig rig(2);
+  CtsRig rig(2);
   rig.start();
   rig.run_workers(10);
   const Bytes cp = rig.svcs[0]->checkpoint();
 
   // A brand-new service restored from the checkpoint continues the round
   // numbering rather than restarting from zero.
-  Rig rig2(2, ReplicationStyle::kActive, 99);
+  CtsRig rig2(2, {.seed = 99});
   rig2.start();
   rig2.svcs[0]->restore(cp);
   EXPECT_EQ(rig2.svcs[0]->last_group_clock(), rig.svcs[0]->last_group_clock());
 }
 
 TEST(CtsCheckpointTest, CheckpointIsDeterministic) {
-  Rig rig(2);
+  CtsRig rig(2);
   rig.start();
   rig.run_workers(5);
   EXPECT_EQ(rig.svcs[0]->checkpoint(), rig.svcs[0]->checkpoint());
@@ -460,6 +382,8 @@ TEST(CtsCheckpointTest, CheckpointIsDeterministic) {
 // Lives in the coroutine frame, so its destructor runs exactly when the
 // frame is destroyed — on normal completion or, for a round that can never
 // complete, when the torn-down service drops the parked continuation.
+constexpr ConnectionId kStampConn{200};
+
 struct FrameProbe {
   bool* destroyed;
   ~FrameProbe() { *destroyed = true; }
@@ -482,7 +406,7 @@ TEST(CtsTeardownTest, ServiceDestroyedMidRoundDestroysSuspendedFrame) {
     // Passive style: replica 1 is a backup, so its round never sends a
     // proposal, and no other replica runs this thread — the await can
     // never complete.
-    Rig rig(2, ReplicationStyle::kPassive);
+    CtsRig rig(2, {.style = ReplicationStyle::kPassive});
     rig.start();
     await_unfinishable_round(*rig.svcs[1], &destroyed, &resumed);
     rig.sim.run_for(200'000);
@@ -504,35 +428,62 @@ sim::Task await_syscall_once(ConsistentTimeService& svc, bool* destroyed, Micros
   *value = co_await sys.clock_gettime();
 }
 
+sim::Task await_id_once(ConsistentIdGenerator& gen, bool* destroyed, std::uint64_t* id) {
+  FrameProbe probe{destroyed};
+  *id = co_await gen.make_id();
+}
+
+sim::Task await_send_once(CausalMessenger& msgr, bool* destroyed, Micros* ts) {
+  FrameProbe probe{destroyed};
+  Bytes body(1, 42);  // GCC 12 rejects a braced temporary inside co_await
+  *ts = co_await msgr.send(kGroup, kStampConn, 1, std::move(body));
+}
+
 TEST(CtsTeardownTest, ReentrantCoroutineRejectionResumesWithNoTime) {
   // Regression for a use-after-free: the rejection path in start_round_impl
   // used to let the by-value RoundContinuation destroy the suspended frame
   // on `return false`, after which the awaiter wrote kNoTime into the freed
   // frame and scheduled a resume (and second destroy) of the dead handle.
-  // The frame must instead stay owned by the awaiter, resume with kNoTime,
-  // and be destroyed exactly once (ASan verifies the "once").
+  // A rejected round must instead resume its frame with kNoTime, and the
+  // frame must be destroyed exactly once (ASan verifies the "once").
   bool d_first = false, r_first = false;
-  bool d_second = false, d_third = false;
-  Micros v_second = 0, v_third = 0;
+  bool d_time = false, d_syscall = false, d_id = false, d_send = false;
+  Micros v_time = 0, v_syscall = 0, v_send = 0;
+  std::uint64_t v_id = 0;
   // Passive style: replica 1 is a backup, so its round never sends a
   // proposal and stays in flight indefinitely.
-  Rig rig(2, ReplicationStyle::kPassive);
+  CtsRig rig(2, {.style = ReplicationStyle::kPassive});
   rig.start();
+  std::size_t stamped_delivered = 0;
+  for (auto& ep : rig.eps) {
+    ep->subscribe(kGroup, [&](const gcs::Message& m) {
+      if (m.hdr.conn == kStampConn) ++stamped_delivered;
+    });
+  }
   await_unfinishable_round(*rig.svcs[1], &d_first, &r_first);
   rig.sim.run_for(10'000);
   ASSERT_FALSE(d_first);  // first round parked, frame alive
 
   // Further rounds on the same thread while the first is in flight are
-  // rejected.  Both coroutine entry points share the rejection path —
-  // exercise the TimeAwaiter (get_time) and the TimeSyscalls awaiter.
-  await_time_once(*rig.svcs[1], &d_second, &v_second);
-  await_syscall_once(*rig.svcs[1], &d_third, &v_third);
+  // rejected.  All four coroutine facades share one round awaiter —
+  // exercise each of them.
+  ConsistentIdGenerator gen(*rig.svcs[1], kThread0, /*ns=*/1);
+  CausalMessenger msgr(*rig.eps[1], *rig.svcs[1], kGroup, kThread0);
+  await_time_once(*rig.svcs[1], &d_time, &v_time);
+  await_syscall_once(*rig.svcs[1], &d_syscall, &v_syscall);
+  await_id_once(gen, &d_id, &v_id);
+  await_send_once(msgr, &d_send, &v_send);
   rig.sim.run_for(100'000);
-  EXPECT_TRUE(d_second);  // resumed, ran to completion, frame freed
-  EXPECT_EQ(v_second, kNoTime);
-  EXPECT_TRUE(d_third);
-  EXPECT_EQ(v_third, kNoTime);
-  EXPECT_EQ(rig.svcs[1]->stats().reentrant_rejected, 2u);
+  EXPECT_TRUE(d_time);  // resumed, ran to completion, frame freed
+  EXPECT_EQ(v_time, kNoTime);
+  EXPECT_TRUE(d_syscall);
+  EXPECT_EQ(v_syscall, kNoTime);
+  EXPECT_TRUE(d_id);
+  EXPECT_EQ(v_id, ConsistentIdGenerator::mix(kNoTime, 1, 1));
+  EXPECT_TRUE(d_send);
+  EXPECT_EQ(v_send, kNoTime);
+  EXPECT_EQ(stamped_delivered, 0u) << "a rejected send must put nothing on the wire";
+  EXPECT_EQ(rig.svcs[1]->stats().reentrant_rejected, 4u);
   // The in-flight round and its parked frame are untouched by the rejections.
   EXPECT_FALSE(d_first);
   EXPECT_FALSE(r_first);
@@ -544,13 +495,38 @@ TEST(CtsTeardownTest, CompletedRoundStillRunsFrameToCompletion) {
   bool destroyed = false;
   bool resumed = false;
   {
-    Rig rig(2);
+    CtsRig rig(2);
     rig.start();
     await_unfinishable_round(*rig.svcs[0], &destroyed, &resumed);  // active: completes
     rig.sim.run_for(2'000'000);
     EXPECT_TRUE(resumed);
     EXPECT_TRUE(destroyed);
   }
+}
+
+TEST(CtsSpecialRoundTest, SecondSpecialRoundInFlightIsRejected) {
+  // Special rounds are serialized by the state-transfer protocol; a second
+  // one while the first is in flight is a caller bug.  It is rejected loudly
+  // and its callback never runs, while the first round still completes.
+  CtsRig rig(2, {.record = true});
+  rig.start();
+  ConsistentTimeService& svc = *rig.svcs[0];
+  Micros first = kNoTime;
+  bool second_ran = false;
+  ASSERT_TRUE(svc.run_special_round([&](Micros v) { first = v; }));
+  EXPECT_FALSE(svc.run_special_round([&](Micros) { second_ran = true; }));
+  EXPECT_EQ(svc.stats().reentrant_rejected, 1u);
+  const auto calls = rig.rec.trace().select(obs::EventKind::kCcsReentrantCall);
+  ASSERT_EQ(calls.size(), 1u);
+  EXPECT_EQ(calls[0].a, static_cast<std::int64_t>(ConsistentTimeService::kSpecialThread.value));
+
+  rig.sim.run_for(1'000'000);
+  EXPECT_NE(first, kNoTime);
+  EXPECT_FALSE(second_ran);
+  EXPECT_EQ(svc.stats().special_rounds, 1u);
+  // The peer, not blocked on the round, adopted the same group clock.
+  EXPECT_EQ(rig.svcs[1]->stats().special_rounds, 1u);
+  EXPECT_EQ(rig.svcs[1]->last_group_clock(), first);
 }
 
 }  // namespace

@@ -296,6 +296,60 @@ TEST(RecoveryTest, RetriedGetStateCrossingItsOwnReplyIsDroppedNotDoubleApplied) 
   EXPECT_EQ(tb.server_app(2).counter(), tb.server_app(0).counter());
 }
 
+TEST(RecoveryTest, ForgedShardCountCheckpointIsRejectedNotApplied) {
+  // The checkpoint chain hash is not a MAC: any sender can recompute it.  A
+  // cold-start announcement whose snapshot declares 2 shards, sent to
+  // 1-shard replicas with a correctly recomputed chain, used to pass
+  // verification and then restore shard states past the end of the
+  // replica's shard table.  It must be rejected and counted instead.
+  TestbedConfig cfg;
+  Testbed tb(cfg);
+  tb.start();
+  std::vector<Bytes> replies;
+  drive_client(tb, 20, replies);
+  ASSERT_TRUE(run_until(tb, [&] { return replies.size() >= 20; }, 60'000'000));
+  tb.sim().run_for(100'000);
+  std::vector<std::uint64_t> digests;
+  for (std::uint32_t s = 0; s < tb.server_count(); ++s) {
+    digests.push_back(tb.server(s).app().state_digest());
+    ASSERT_EQ(tb.server(s).stats().checkpoints_rejected, 0u);
+  }
+
+  // Two app states, the CTS state, and a covered count far ahead of the
+  // group's, so an accepted announcement would be adopted.
+  constexpr std::uint64_t kCovered = 1'000'000;
+  replication::ReplicaManager& victim = tb.server(0);
+  BytesWriter w;
+  w.u32(2);
+  w.bytes(victim.app().checkpoint());
+  w.bytes(victim.app().checkpoint());
+  w.bytes(victim.time_service().checkpoint());
+  w.u64(kCovered);
+  const Bytes snapshot = std::move(w).take();
+  std::vector<replication::CheckpointHeader> chain;
+  replication::extend_chain(chain, kCovered, snapshot);
+
+  gcs::Message m;
+  m.hdr.type = gcs::MsgType::kState;
+  m.hdr.src_grp = tb.config().server_group;
+  m.hdr.dst_grp = tb.config().server_group;
+  m.hdr.conn = victim.config().state_conn;
+  m.hdr.tag = ThreadId{2};  // the cold-start announcement stream
+  m.hdr.seq = kCovered + 1;
+  m.hdr.sender_replica = ReplicaId{7};
+  m.payload = replication::encode_chained_checkpoint(snapshot, chain);
+  tb.gcs_of(0).send(std::move(m));  // from the client's node
+  tb.sim().run_for(1'000'000);
+
+  for (std::uint32_t s = 0; s < tb.server_count(); ++s) {
+    EXPECT_EQ(tb.server(s).stats().checkpoints_rejected, 1u) << "server " << s;
+    EXPECT_EQ(tb.server(s).app().state_digest(), digests[s]) << "server " << s;
+  }
+  if (obs::OrderingOracle* orc = tb.recorder().oracle()) {
+    EXPECT_EQ(orc->violations(), 0u);
+  }
+}
+
 TEST(RecoveryTest, RepeatedCrashRecoverCycles) {
   // Each replica in turn crashes and rejoins under a slow, steady client.
   ScenarioSpec spec;

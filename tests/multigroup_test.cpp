@@ -7,6 +7,7 @@
 #include "clock/physical_clock.hpp"
 #include "cts/consistent_time_service.hpp"
 #include "cts/multigroup.hpp"
+#include "cts_rig.hpp"
 #include "gcs/gcs.hpp"
 #include "net/network.hpp"
 #include "obs/recorder.hpp"
@@ -16,58 +17,16 @@
 namespace cts::ccs {
 namespace {
 
-constexpr GroupId kGroupA{10};
-constexpr GroupId kGroupB{11};
-constexpr ConnectionId kCcsConnA{100};
-constexpr ConnectionId kCcsConnB{101};
 constexpr ConnectionId kInterConn{200};
-constexpr ThreadId kThread{0};
-
-/// Two replica groups (2 replicas each) on one shared 4-node ring.
-/// Group A's hardware clocks run AHEAD of group B's by `gap_us`.
-struct TwoGroupRig {
-  sim::Simulator sim{1};
-  net::Network net;
-  std::vector<std::unique_ptr<totem::TotemNode>> totems;
-  std::vector<std::unique_ptr<gcs::GcsEndpoint>> eps;
-  std::vector<std::unique_ptr<clock::PhysicalClock>> clocks;
-  std::vector<std::unique_ptr<ConsistentTimeService>> svcs;  // 0,1=A; 2,3=B
-  std::vector<std::unique_ptr<CausalMessenger>> messengers;
-
-  explicit TwoGroupRig(Micros gap_us) : net(sim, {}) {
-    totem::TotemConfig tcfg;
-    for (std::uint32_t i = 0; i < 4; ++i) tcfg.universe.push_back(NodeId{i});
-    for (std::uint32_t i = 0; i < 4; ++i) {
-      const bool in_a = i < 2;
-      totems.push_back(std::make_unique<totem::TotemNode>(sim, net, NodeId{i}, tcfg));
-      eps.push_back(std::make_unique<gcs::GcsEndpoint>(sim, *totems.back()));
-      clock::ClockConfig ccfg;
-      ccfg.initial_offset_us = in_a ? gap_us : 0;
-      clocks.push_back(std::make_unique<clock::PhysicalClock>(sim, ccfg));
-      CtsConfig cfg;
-      cfg.group = in_a ? kGroupA : kGroupB;
-      cfg.ccs_conn = in_a ? kCcsConnA : kCcsConnB;
-      cfg.replica = ReplicaId{i % 2};
-      svcs.push_back(std::make_unique<ConsistentTimeService>(sim, *eps.back(), *clocks.back(), cfg));
-      messengers.push_back(std::make_unique<CausalMessenger>(*eps.back(), *svcs.back(),
-                                                             cfg.group, kThread));
-    }
-    for (std::uint32_t i = 0; i < 4; ++i) {
-      totems[i]->start();
-      eps[i]->join_group(i < 2 ? kGroupA : kGroupB, ReplicaId{i % 2});
-    }
-    sim.run_for(100'000);
-  }
-};
 
 // Free-function coroutines: a lambda coroutine created inside a delivery
 // callback would be destroyed (with its captures) while still suspended.
 sim::Task read_clock_into(ConsistentTimeService& svc, Micros& out) {
-  out = co_await svc.get_time(kThread);
+  out = co_await svc.get_time(kThread0);
 }
 
 sim::Task read_clock_push(ConsistentTimeService& svc, std::vector<Micros>& out) {
-  out.push_back(co_await svc.get_time(kThread));
+  out.push_back(co_await svc.get_time(kThread0));
 }
 
 TEST(StampedPayloadTest, RoundTrips) {
@@ -116,18 +75,19 @@ TEST(MultigroupTest, WithoutTimestampsCausalityIsViolated) {
   // Group A's clocks are 300ms ahead.  A reads its group clock and sends a
   // PLAIN message to B; B's subsequent reading is far below A's — the
   // exact anomaly Section 5 warns about.
-  TwoGroupRig rig(300'000);
+  CtsRig rig(TwoGroups{300'000});
+  rig.start();
 
   Micros a_ts = 0, b_read = 0;
   auto flow = [&]() -> sim::Task {
-    a_ts = co_await rig.svcs[0]->get_time(kThread);
+    a_ts = co_await rig.svcs[0]->get_time(kThread0);
     // Plain (unstamped) inter-group message.
     gcs::Message m;
     m.hdr.type = gcs::MsgType::kUserRequest;
     m.hdr.src_grp = kGroupA;
     m.hdr.dst_grp = kGroupB;
     m.hdr.conn = kInterConn;
-    m.hdr.tag = kThread;
+    m.hdr.tag = kThread0;
     m.hdr.seq = 1;
     rig.eps[0]->send(std::move(m));
   };
@@ -136,7 +96,7 @@ TEST(MultigroupTest, WithoutTimestampsCausalityIsViolated) {
     read_clock_into(*rig.svcs[2], b_read);
   });
   // A mirror on the second A replica keeps the A group in agreement.
-  auto mirror = [&]() -> sim::Task { (void)co_await rig.svcs[1]->get_time(kThread); };
+  auto mirror = [&]() -> sim::Task { (void)co_await rig.svcs[1]->get_time(kThread0); };
   mirror();
   flow();
   rig.sim.run_for(10'000'000);
@@ -146,7 +106,8 @@ TEST(MultigroupTest, WithoutTimestampsCausalityIsViolated) {
 }
 
 TEST(MultigroupTest, StampedMessagesPreserveCausality) {
-  TwoGroupRig rig(300'000);
+  CtsRig rig(TwoGroups{300'000});
+  rig.start();
 
   Micros a_ts = 0;
   std::vector<Micros> b_reads;
@@ -176,7 +137,8 @@ TEST(MultigroupTest, FloorIsRaisedBeforeEachCallbackAcrossABatchedFrame) {
   // them in one burst.  The causal floor must be at (or above) each
   // message's timestamp by the time ITS application callback runs — not
   // just after the whole batch drains.
-  TwoGroupRig rig(300'000);
+  CtsRig rig(TwoGroups{300'000});
+  rig.start();
   std::vector<std::pair<Micros, Micros>> seen;  // (stamp, floor at callback)
   rig.messengers[2]->subscribe(kInterConn, [&](const gcs::Message&, Micros ts, const Bytes&) {
     seen.push_back({ts, rig.svcs[2]->causal_floor()});
@@ -191,7 +153,7 @@ TEST(MultigroupTest, FloorIsRaisedBeforeEachCallbackAcrossABatchedFrame) {
     m.hdr.src_grp = kGroupA;
     m.hdr.dst_grp = kGroupB;
     m.hdr.conn = kInterConn;
-    m.hdr.tag = kThread;
+    m.hdr.tag = kThread0;
     m.hdr.seq = k;
     m.payload = p.encode();
     rig.eps[0]->send(std::move(m));
@@ -209,12 +171,13 @@ TEST(MultigroupTest, FloorIsRaisedBeforeEachCallbackAcrossABatchedFrame) {
 }
 
 TEST(MultigroupTest, FloorDoesNotDisturbUnrelatedMonotonicity) {
-  TwoGroupRig rig(300'000);
+  CtsRig rig(TwoGroups{300'000});
+  rig.start();
   std::vector<Micros> reads;
   auto worker = [&](std::uint32_t i, bool record) -> sim::Task {
     for (int k = 0; k < 20; ++k) {
       co_await rig.sim.delay(200);
-      const Micros v = co_await rig.svcs[i]->get_time(kThread);
+      const Micros v = co_await rig.svcs[i]->get_time(kThread0);
       if (record) reads.push_back(v);
     }
   };
@@ -237,7 +200,8 @@ TEST(MultigroupTest, FloorDoesNotDisturbUnrelatedMonotonicity) {
 TEST(MultigroupTest, BackAndForthConversationStaysCausal) {
   // A -> B -> A: each hop stamps with its group clock; timestamps must be
   // strictly increasing along the causal chain.
-  TwoGroupRig rig(300'000);
+  CtsRig rig(TwoGroups{300'000});
+  rig.start();
   std::vector<Micros> chain;
 
   for (std::uint32_t i : {2u, 3u}) {
@@ -267,7 +231,8 @@ TEST(MultigroupTest, MalformedStampIsRejectedCountedAndDoesNotRaiseFloor) {
   // floor — no callback, no floor raise (a garbage timestamp would wedge
   // the group clock) — and accounted (multigroup.stamps_rejected counter +
   // stamp_rejected trace event).
-  TwoGroupRig rig(300'000);
+  CtsRig rig(TwoGroups{300'000});
+  rig.start();
   obs::Recorder rec(rig.sim);
   rig.eps[2]->set_recorder(&rec);
 
@@ -289,7 +254,7 @@ TEST(MultigroupTest, MalformedStampIsRejectedCountedAndDoesNotRaiseFloor) {
     m.hdr.src_grp = kGroupA;
     m.hdr.dst_grp = kGroupB;
     m.hdr.conn = kInterConn;
-    m.hdr.tag = kThread;
+    m.hdr.tag = kThread0;
     m.hdr.seq = k + 1;
     m.payload = evil[k];
     rig.eps[0]->send(std::move(m));
@@ -311,7 +276,7 @@ TEST(MultigroupTest, MalformedStampIsRejectedCountedAndDoesNotRaiseFloor) {
   m.hdr.src_grp = kGroupA;
   m.hdr.dst_grp = kGroupB;
   m.hdr.conn = kInterConn;
-  m.hdr.tag = kThread;
+  m.hdr.tag = kThread0;
   m.hdr.seq = 4;
   m.payload = p.encode();
   rig.eps[0]->send(std::move(m));

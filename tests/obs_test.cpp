@@ -6,28 +6,24 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <memory>
 #include <utility>
 #include <vector>
 
-#include "clock/physical_clock.hpp"
 #include "cts/consistent_time_service.hpp"
-#include "gcs/gcs.hpp"
-#include "net/network.hpp"
+#include "cts_rig.hpp"
 #include "obs/recorder.hpp"
-#include "sim/simulator.hpp"
-#include "totem/totem.hpp"
 
 namespace cts::obs {
 namespace {
 
-using ccs::ConsistentTimeService;
-using ccs::CtsConfig;
+using ccs::CtsRig;
+using ccs::kThread0;
 using ccs::ReplicationStyle;
 
-constexpr GroupId kGroup{1};
-constexpr ConnectionId kCcsConn{100};
-constexpr ThreadId kThread0{0};
+// The obs rigs record everything; their workers draw delays from seed 1.
+constexpr ccs::RigOptions kRecorded{.record = true};
+constexpr std::uint64_t kDelaySeed = 1;
+constexpr Micros kBudget = 60'000'000;
 
 // --- Pure-unit: registry and trace log ------------------------------------------
 
@@ -75,77 +71,10 @@ TEST(TraceLogTest, JsonlNamesKindsAndNullsInvalidIds) {
 
 // --- Behavioral: full CTS rig with a shared recorder ------------------------------
 
-/// N hosts — Totem node, GCS endpoint, drifting physical clock, and a
-/// ConsistentTimeService each — all observed by one Recorder, mirroring how
-/// the Testbed wires its layers.
-struct Rig {
-  sim::Simulator sim;
-  net::Network net;
-  Recorder rec{sim};
-  std::vector<std::unique_ptr<totem::TotemNode>> totems;
-  std::vector<std::unique_ptr<gcs::GcsEndpoint>> eps;
-  std::vector<std::unique_ptr<clock::PhysicalClock>> clocks;
-  std::vector<std::unique_ptr<ConsistentTimeService>> svcs;
-  std::vector<std::vector<Micros>> readings;
-
-  explicit Rig(std::size_t n, ReplicationStyle style = ReplicationStyle::kActive,
-               std::uint64_t seed = 1)
-      : sim(seed), net(sim, {}) {
-    net.set_recorder(&rec);
-    totem::TotemConfig tcfg;
-    for (std::uint32_t i = 0; i < n; ++i) tcfg.universe.push_back(NodeId{i});
-    readings.resize(n);
-    Rng clock_rng(seed * 7919 + 13);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      totems.push_back(std::make_unique<totem::TotemNode>(sim, net, NodeId{i}, tcfg));
-      eps.push_back(std::make_unique<gcs::GcsEndpoint>(sim, *totems.back()));
-      eps.back()->set_recorder(&rec);  // wires the Totem node too
-      clocks.push_back(std::make_unique<clock::PhysicalClock>(
-          sim, clock::random_clock_config(clock_rng)));
-      CtsConfig cfg;
-      cfg.group = kGroup;
-      cfg.ccs_conn = kCcsConn;
-      cfg.replica = ReplicaId{i};
-      cfg.style = style;
-      svcs.push_back(
-          std::make_unique<ConsistentTimeService>(sim, *eps.back(), *clocks.back(), cfg));
-      svcs.back()->set_recorder(&rec);
-      if (style != ReplicationStyle::kActive) svcs.back()->set_primary(i == 0);
-    }
-  }
-
-  void start(Micros settle = 100'000) {
-    for (std::uint32_t i = 0; i < totems.size(); ++i) {
-      totems[i]->start();
-      eps[i]->join_group(kGroup, ReplicaId{i});
-    }
-    sim.run_for(settle);
-  }
-
-  sim::Task reader(std::uint32_t i, int ops) {
-    Rng rng(1000 + i);
-    for (int k = 0; k < ops; ++k) {
-      co_await sim.delay(rng.range(60, 400));
-      readings[i].push_back(co_await svcs[i]->get_time(kThread0));
-    }
-  }
-
-  void run_readers(int ops, Micros budget = 60'000'000) {
-    for (std::uint32_t i = 0; i < svcs.size(); ++i) reader(i, ops);
-    const Micros deadline = sim.now() + budget;
-    while (sim.now() < deadline) {
-      sim.run_until(sim.now() + 10'000);
-      bool all_done = true;
-      for (auto& r : readings) all_done &= (r.size() >= static_cast<std::size_t>(ops));
-      if (all_done) return;
-    }
-  }
-};
-
 TEST(ObsTraceTest, LossFreeRunHasNoDropsRetransmitsOrStalledWindows) {
-  Rig rig(3);
+  CtsRig rig(3, kRecorded);
   rig.start();
-  rig.run_readers(40);
+  rig.run_workers(40, kBudget, kDelaySeed);
   ASSERT_EQ(rig.readings[0].size(), 40u);
 
   const TraceLog& t = rig.rec.trace();
@@ -172,9 +101,9 @@ TEST(ObsTraceTest, LossFreeRunHasNoDropsRetransmitsOrStalledWindows) {
 }
 
 TEST(ObsTraceTest, ExactlyOneSynchronizerWinsEachRound) {
-  Rig rig(3);
+  CtsRig rig(3, kRecorded);
   rig.start();
-  rig.run_readers(60);
+  rig.run_workers(60, kBudget, kDelaySeed);
   ASSERT_EQ(rig.readings[0].size(), 60u);
 
   // kSynchronizerWin is recorded only at the replica whose proposal was
@@ -200,18 +129,18 @@ TEST(ObsTraceTest, PassiveFailoverReissuesExactlyOnePendingProposal) {
   // primary dies before its proposal for an in-flight round was delivered,
   // the promoted backup must send one — exactly one — so the round
   // completes with a consistent group clock at every survivor.
-  Rig rig(3, ReplicationStyle::kPassive);
+  CtsRig rig(3, {.style = ReplicationStyle::kPassive, .record = true});
   rig.start();
 
   // Warm-up round with the primary alive: everyone reads once.
-  rig.run_readers(1);
+  rig.run_workers(1, kBudget, kDelaySeed);
   ASSERT_EQ(rig.readings[0].size(), 1u);
   ASSERT_EQ(rig.readings[1], rig.readings[0]);
   ASSERT_EQ(rig.rec.trace().count(EventKind::kProposalResent), 0u);
 
   // Both backups start round 2; the primary never does, and crashes.
-  rig.reader(1, 1);
-  rig.reader(2, 1);
+  rig.worker(1, 1, kDelaySeed);
+  rig.worker(2, 1, kDelaySeed);
   rig.sim.run_for(5'000);  // backups are now blocked waiting for a proposal
   ASSERT_EQ(rig.readings[1].size(), 1u);
   rig.totems[0]->crash();
@@ -245,7 +174,7 @@ TEST(ObsTraceTest, ReentrantClockCallIsRejectedLoudly) {
   // The NDEBUG-vanishing assert is gone: a second clock-related operation
   // on a thread with a round in flight is rejected with an error return
   // and a trace event, in every build mode.
-  Rig rig(2);
+  CtsRig rig(2, kRecorded);
   rig.start();
 
   Micros first = kNoTime;
@@ -260,7 +189,7 @@ TEST(ObsTraceTest, ReentrantClockCallIsRejectedLoudly) {
   EXPECT_EQ(rig.rec.metrics().value("cts.reentrant_rejected"), 1u);
 
   // The original round is unharmed and still completes.
-  rig.reader(1, 1);  // the peer must also participate for the round to finish
+  rig.worker(1, 1, kDelaySeed);  // the peer must also participate for the round to finish
   rig.sim.run_for(10'000'000);
   EXPECT_NE(first, kNoTime);
 }

@@ -22,6 +22,7 @@
 #include "clock/physical_clock.hpp"
 #include "cts/consistent_time_service.hpp"
 #include "cts/multigroup.hpp"
+#include "cts_rig.hpp"
 #include "gcs/gcs.hpp"
 #include "net/network.hpp"
 #include "obs/oracle.hpp"
@@ -389,60 +390,11 @@ INSTANTIATE_TEST_SUITE_P(
 namespace cts::ccs {
 namespace {
 
-constexpr GroupId kGroupA{10};
-constexpr GroupId kGroupB{11};
-constexpr ConnectionId kCcsConnA{100};
-constexpr ConnectionId kCcsConnB{101};
 constexpr ConnectionId kInterConn{200};
-constexpr ThreadId kThread{0};
 
 sim::Task read_clock_push(ConsistentTimeService& svc, std::vector<Micros>& out) {
-  out.push_back(co_await svc.get_time(kThread));
+  out.push_back(co_await svc.get_time(kThread0));
 }
-
-/// Two replica groups (2 replicas each) on one 4-node ring, with a live
-/// (non-aborting) oracle observing every layer.  Group A's clocks run
-/// ahead of group B's so an unstamped handoff WOULD violate causality.
-struct ObservedTwoGroupRig {
-  sim::Simulator sim{1};
-  net::Network net;
-  obs::Recorder rec{sim};
-  obs::OrderingOracle* orc;
-  std::vector<std::unique_ptr<totem::TotemNode>> totems;
-  std::vector<std::unique_ptr<gcs::GcsEndpoint>> eps;
-  std::vector<std::unique_ptr<clock::PhysicalClock>> clocks;
-  std::vector<std::unique_ptr<ConsistentTimeService>> svcs;  // 0,1=A; 2,3=B
-  std::vector<std::unique_ptr<CausalMessenger>> messengers;
-
-  explicit ObservedTwoGroupRig(Micros gap_us) : net(sim, {}) {
-    orc = &rec.enable_oracle(/*abort_on_violation=*/false);
-    totem::TotemConfig tcfg;
-    for (std::uint32_t i = 0; i < 4; ++i) tcfg.universe.push_back(NodeId{i});
-    for (std::uint32_t i = 0; i < 4; ++i) {
-      const bool in_a = i < 2;
-      totems.push_back(std::make_unique<totem::TotemNode>(sim, net, NodeId{i}, tcfg));
-      eps.push_back(std::make_unique<gcs::GcsEndpoint>(sim, *totems.back()));
-      eps.back()->set_recorder(&rec);
-      clock::ClockConfig ccfg;
-      ccfg.initial_offset_us = in_a ? gap_us : 0;
-      clocks.push_back(std::make_unique<clock::PhysicalClock>(sim, ccfg));
-      CtsConfig cfg;
-      cfg.group = in_a ? kGroupA : kGroupB;
-      cfg.ccs_conn = in_a ? kCcsConnA : kCcsConnB;
-      cfg.replica = ReplicaId{i % 2};
-      svcs.push_back(
-          std::make_unique<ConsistentTimeService>(sim, *eps.back(), *clocks.back(), cfg));
-      svcs.back()->set_recorder(&rec);
-      messengers.push_back(
-          std::make_unique<CausalMessenger>(*eps.back(), *svcs.back(), cfg.group, kThread));
-    }
-    for (std::uint32_t i = 0; i < 4; ++i) {
-      totems[i]->start();
-      eps[i]->join_group(i < 2 ? kGroupA : kGroupB, ReplicaId{i % 2});
-    }
-    sim.run_for(100'000);
-  }
-};
 
 TEST(OracleMultigroupTest, RepresentativeCrashMidHandoffKeepsCausality) {
   // Group A is 300ms ahead.  Both A replicas start the same stamped send;
@@ -450,7 +402,11 @@ TEST(OracleMultigroupTest, RepresentativeCrashMidHandoffKeepsCausality) {
   // flight.  The backup replica's identical message completes the handoff,
   // the ring reconfigures around the dead node, and the oracle must see a
   // fully causal history: zero floor violations, zero anything else.
-  ObservedTwoGroupRig rig(300'000);
+  // Two groups with a live (non-aborting) oracle observing every layer.
+  // Group A's clocks run ahead of group B's, so an unstamped handoff WOULD
+  // violate causality.
+  CtsRig rig(TwoGroups{300'000}, {.record = true, .oracle = true});
+  rig.start();
 
   Micros a_ts = 0;
   std::vector<Micros> b_reads;

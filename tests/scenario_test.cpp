@@ -36,6 +36,17 @@ TEST(ScenarioArgsTest, RejectsMalformedAndContradictoryArguments) {
   EXPECT_EQ(parse({"--no-such-flag"}).error, "usage");
   EXPECT_FALSE(parse({"--crash", "3@1ms"}).error.empty());
   EXPECT_FALSE(parse({"--rings", "2", "--durable"}).error.empty());
+  // The multi-ring archipelago does not forward these, so they are refused
+  // rather than silently ignored, in either order and at any value.
+  for (const char* flag : {"--clock-offset", "--clock-drift", "--mean-delay", "--reference-gain",
+                           "--checkpoint-every"}) {
+    EXPECT_FALSE(parse({"--rings", "2", flag, "5"}).error.empty()) << flag;
+    EXPECT_FALSE(parse({flag, "5", "--topology", "4x3"}).error.empty()) << flag;
+    EXPECT_TRUE(parse({"--rings", "1", flag, "5"}).error.empty()) << flag;
+  }
+  EXPECT_FALSE(parse({"--rings", "2", "--drift", "mean"}).error.empty());
+  EXPECT_FALSE(parse({"--topology", "4x3", "--drift", "none"}).error.empty());
+  EXPECT_TRUE(parse({"--topology", "1x3", "--drift", "reference"}).error.empty());
   EXPECT_FALSE(parse({"--seed", "1-2", "--trace-jsonl", "t.jsonl"}).error.empty());
   // The export path variables name one file, which every seed of a sweep
   // would write at the same time.

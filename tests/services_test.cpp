@@ -9,48 +9,14 @@
 #include <utility>
 #include <vector>
 
-#include "clock/physical_clock.hpp"
 #include "cts/consistent_time_service.hpp"
 #include "cts/deadlines.hpp"
 #include "cts/id_gen.hpp"
-#include "gcs/gcs.hpp"
-#include "net/network.hpp"
+#include "cts_rig.hpp"
 #include "sim/simulator.hpp"
-#include "totem/totem.hpp"
 
 namespace cts::ccs {
 namespace {
-
-constexpr GroupId kGroup{1};
-constexpr ConnectionId kCcsConn{100};
-
-struct Rig {
-  sim::Simulator sim;
-  net::Network net;
-  std::vector<std::unique_ptr<totem::TotemNode>> totems;
-  std::vector<std::unique_ptr<gcs::GcsEndpoint>> eps;
-  std::vector<std::unique_ptr<clock::PhysicalClock>> clocks;
-  std::vector<std::unique_ptr<ConsistentTimeService>> svcs;
-
-  explicit Rig(std::size_t n, std::uint64_t seed = 1) : sim(seed), net(sim, {}) {
-    totem::TotemConfig tcfg;
-    for (std::uint32_t i = 0; i < n; ++i) tcfg.universe.push_back(NodeId{i});
-    Rng crng(seed * 7919 + 13);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      totems.push_back(std::make_unique<totem::TotemNode>(sim, net, NodeId{i}, tcfg));
-      eps.push_back(std::make_unique<gcs::GcsEndpoint>(sim, *totems.back()));
-      clocks.push_back(
-          std::make_unique<clock::PhysicalClock>(sim, clock::random_clock_config(crng)));
-      svcs.push_back(std::make_unique<ConsistentTimeService>(
-          sim, *eps.back(), *clocks.back(), CtsConfig{kGroup, kCcsConn, ReplicaId{i}}));
-    }
-    for (std::uint32_t i = 0; i < n; ++i) {
-      totems[i]->start();
-      eps[i]->join_group(kGroup, ReplicaId{i});
-    }
-    sim.run_for(100'000);
-  }
-};
 
 // --- DeadlineIndex ------------------------------------------------------------
 
@@ -145,7 +111,8 @@ sim::Task mint(ConsistentIdGenerator& gen, std::vector<std::uint64_t>& out, int 
 }
 
 TEST(IdGenTest, ReplicasMintIdenticalIdSequences) {
-  Rig rig(3);
+  CtsRig rig(3);
+  rig.start();
   std::vector<std::unique_ptr<ConsistentIdGenerator>> gens;
   std::vector<std::vector<std::uint64_t>> ids(3);
   for (std::uint32_t i = 0; i < 3; ++i) {
@@ -159,7 +126,8 @@ TEST(IdGenTest, ReplicasMintIdenticalIdSequences) {
 }
 
 TEST(IdGenTest, IdsAreUniqueWithinAGenerator) {
-  Rig rig(2);
+  CtsRig rig(2);
+  rig.start();
   ConsistentIdGenerator g0(*rig.svcs[0], ThreadId{50}, 1);
   ConsistentIdGenerator g1(*rig.svcs[1], ThreadId{50}, 1);
   std::vector<std::uint64_t> ids0, ids1;
@@ -186,7 +154,8 @@ TEST(IdGenTest, DifferentNamespacesNeverCollide) {
 }
 
 TEST(IdGenTest, CounterTracksMintedIds) {
-  Rig rig(2);
+  CtsRig rig(2);
+  rig.start();
   ConsistentIdGenerator g0(*rig.svcs[0], ThreadId{50}, 1);
   ConsistentIdGenerator g1(*rig.svcs[1], ThreadId{50}, 1);
   std::vector<std::uint64_t> ids0, ids1;
