@@ -288,6 +288,57 @@ void BM_StateTransferVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_StateTransferVerify);
 
+// A KV checkpoint of `keys` entries laid out as KvStoreApp::checkpoint()
+// writes it: 24-byte values, every 8th key leased.  The variant differs in
+// 10 keys: one is gone, one has a renewed lease, eight have new values.
+Bytes kv_snapshot(std::size_t keys, bool variant) {
+  const std::size_t stride = keys / 10;
+  BytesWriter w;
+  w.u64(keys);  // grant counter
+  w.u64(0);     // leases expired
+  w.u64(0);     // handoff seq
+  w.u32(static_cast<std::uint32_t>(variant ? keys - 1 : keys));
+  for (std::size_t i = 0; i < keys; ++i) {
+    const bool changed = variant && i % stride == 1 && i / stride < 10;
+    const std::size_t which = i / stride;
+    if (changed && which == 0) continue;
+    char key[16];
+    std::snprintf(key, sizeof key, "key%06zu", i);
+    w.str(key);
+    w.str(std::string(24, static_cast<char>((changed && which >= 2 ? 'A' : 'a') + i % 26)));
+    w.u64(1);  // version
+    const bool leased = i % 8 == 1;
+    const bool renewed = changed && which == 1;
+    w.u64(leased ? 7 : 0);
+    w.i64(leased ? 1'000'000 + static_cast<Micros>(i) + (renewed ? 500'000 : 0) : 0);
+    w.u64(leased ? i + (renewed ? keys : 0) : 0);
+  }
+  return std::move(w).take();
+}
+
+// A passive backup adopting the primary's next checkpoint: the KV app
+// restores a snapshot that differs from its state in 10 keys, alternating
+// between two such snapshots.  Arg = keys in the store.  items = restores.
+void BM_KvCheckpointApply(benchmark::State& state) {
+  const auto keys = static_cast<std::size_t>(state.range(0));
+  app::TestbedConfig cfg;
+  cfg.servers = 1;
+  cfg.with_client = false;
+  cfg.factory = app::kv_store_factory();
+  app::Testbed tb(cfg);
+  replication::Replica& kv = tb.server(0).app();
+  const Bytes snapshots[2] = {kv_snapshot(keys, false), kv_snapshot(keys, true)};
+  kv.restore(snapshots[0]);
+  std::size_t next = 1;
+  for (auto _ : state) {
+    kv.restore(snapshots[next]);
+    next ^= 1;
+  }
+  benchmark::DoNotOptimize(kv.state_digest());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_KvCheckpointApply)->Arg(64)->Arg(4096);
+
 // Seal + verify of one Totem envelope: the integrity work every packet pays
 // once at its sender (the checksum patched over the sealed buffer) and once
 // at each receiver (recomputed and compared before any field is parsed).

@@ -1,5 +1,9 @@
 #include "app/kv_store.hpp"
 
+#include <algorithm>
+#include <string_view>
+#include <vector>
+
 namespace cts::app {
 
 const char* to_string(KvStatus s) {
@@ -314,8 +318,18 @@ std::uint64_t KvStoreApp::state_digest() const {
   return h;
 }
 
+namespace {
+// Fixed fields of a checkpoint, then per entry: key and value (u32 length
+// prefix each), version, lease owner, lease expiry and lease grant.
+constexpr std::size_t kCheckpointHeaderBytes = 3 * 8 + 4;
+constexpr std::size_t kEntryFixedBytes = 2 * 4 + 4 * 8;
+}  // namespace
+
 Bytes KvStoreApp::checkpoint() const {
+  std::size_t size = kCheckpointHeaderBytes;
+  for (const auto& [k, e] : entries_) size += kEntryFixedBytes + k.size() + e.value.size();
   BytesWriter w;
+  w.reserve(size);
   w.u64(grant_counter_);
   w.u64(leases_expired_);
   w.u64(handoff_.seq());
@@ -331,24 +345,98 @@ Bytes KvStoreApp::checkpoint() const {
   return std::move(w).take();
 }
 
+struct KvStoreApp::SnapshotEntry {
+  std::string_view key;
+  std::string_view value;
+  std::uint64_t version;
+  std::uint64_t lease_owner;
+  Micros lease_expiry;
+  std::uint64_t lease_grant;
+
+  [[nodiscard]] bool same_lease(const Entry& e) const {
+    return e.lease_owner == lease_owner && e.lease_expiry == lease_expiry &&
+           e.lease_grant == lease_grant;
+  }
+  [[nodiscard]] Entry entry() const {
+    return Entry{std::string(value), version, lease_owner, lease_expiry, lease_grant};
+  }
+};
+
 void KvStoreApp::restore(const Bytes& state) {
+  // Parse the whole checkpoint before touching any member: a malformed one
+  // throws CodecError here and leaves the store as it was.
   BytesReader r(state);
-  grant_counter_ = r.u64();
-  leases_expired_ = r.u64();
-  handoff_.restore_seq(r.u64());
+  const std::uint64_t grant_counter = r.u64();
+  const std::uint64_t leases_expired = r.u64();
+  const std::uint64_t handoff_seq = r.u64();
+  const auto n = r.u32();
+  std::vector<SnapshotEntry> snap;
+  // Cap the reserve by the bytes actually present so a lying count cannot
+  // trigger a huge allocation before the first read throws.
+  snap.reserve(std::min<std::size_t>(n, r.remaining() / kEntryFixedBytes));
+  bool sorted = true;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    SnapshotEntry& s = snap.emplace_back();
+    s.key = r.str_view();
+    s.value = r.str_view();
+    s.version = r.u64();
+    s.lease_owner = r.u64();
+    s.lease_expiry = r.i64();
+    s.lease_grant = r.u64();
+    sorted = sorted && (i == 0 || snap[i - 1].key < s.key);
+  }
+
+  grant_counter_ = grant_counter;
+  leases_expired_ = leases_expired;
+  handoff_.restore_seq(handoff_seq);
+  // A checkpoint() lists its keys in strictly increasing order, and the
+  // primary's next checkpoint differs from the last in a few entries, so
+  // merge in place.  A snapshot no checkpoint() writes (keys out of order
+  // or repeated, two leases in one slot) is installed into an empty store
+  // one entry at a time, in snapshot order, as a fresh replica would.
+  if (sorted && merge(snap)) return;
   entries_.clear();
   leases_.clear();
-  const auto n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::string k = r.str();
-    Entry e;
-    e.value = r.str();
-    e.version = r.u64();
-    e.lease_owner = r.u64();
-    e.lease_expiry = r.i64();
-    e.lease_grant = r.u64();
-    install(k, std::move(e));  // group-time deadlines transfer verbatim
+  for (const SnapshotEntry& s : snap) {
+    install(std::string(s.key), s.entry());  // group-time deadlines transfer verbatim
   }
+}
+
+bool KvStoreApp::merge(std::span<const SnapshotEntry> snap) {
+  // The index always holds a subset of the live leases' slots, so it is
+  // exact iff it holds as many as there are live leases.  Count them on
+  // the way past, before each is changed.
+  const std::size_t armed_before = leases_.size();
+  std::size_t leased_before = 0;
+  bool armed_all = true;
+  auto it = entries_.begin();
+  const auto drop = [&] {
+    leased_before += it->second.lease_owner != 0 ? 1 : 0;
+    disarm_lease(it->second);
+    it = entries_.erase(it);
+  };
+  for (const SnapshotEntry& s : snap) {
+    while (it != entries_.end() && it->first < s.key) drop();
+    if (it == entries_.end() || it->first != s.key) {
+      const auto at = entries_.emplace_hint(it, std::string(s.key), s.entry());
+      armed_all = arm_lease(at->first, at->second) && armed_all;
+      continue;
+    }
+    Entry& e = it->second;
+    leased_before += e.lease_owner != 0 ? 1 : 0;
+    if (e.value != s.value) e.value.assign(s.value);
+    e.version = s.version;
+    if (!s.same_lease(e)) {
+      disarm_lease(e);
+      e.lease_owner = s.lease_owner;
+      e.lease_expiry = s.lease_expiry;
+      e.lease_grant = s.lease_grant;
+      armed_all = arm_lease(it->first, e) && armed_all;
+    }
+    ++it;
+  }
+  while (it != entries_.end()) drop();
+  return armed_all && armed_before == leased_before;
 }
 
 std::uint32_t kv_shard_of(const gcs::Message& m) {

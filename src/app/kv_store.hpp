@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 
 #include "app/handoff.hpp"
@@ -116,18 +117,27 @@ class KvStoreApp : public replication::Replica {
     std::uint64_t lease_grant = 0;  // distinguishes successive leases
   };
 
+  /// One entry of a checkpoint being restored, viewing the checkpoint bytes.
+  struct SnapshotEntry;
+
   sim::Task serve(SharedBytes request, std::function<void(Bytes)> done);
   [[nodiscard]] bool lease_blocks(const Entry& e, std::uint64_t owner, Micros now) const;
   /// Keep `leases_` equal to the set of live leases: disarm before a lease
-  /// changes or its entry goes, arm after one is granted.
-  void arm_lease(const std::string& key, const Entry& e) {
-    if (e.lease_owner != 0) leases_.arm(e.lease_expiry, e.lease_grant, key);
+  /// changes or its entry goes, arm after one is granted.  Returns false if
+  /// another entry's lease already holds the same (expiry, grant) slot.
+  bool arm_lease(const std::string& key, const Entry& e) {
+    return e.lease_owner == 0 || leases_.arm(e.lease_expiry, e.lease_grant, key);
   }
   void disarm_lease(const Entry& e) {
     if (e.lease_owner != 0) leases_.disarm(e.lease_expiry, e.lease_grant);
   }
   /// Replace (or create) `key`'s entry, keeping the deadline index exact.
   void install(const std::string& key, Entry e);
+  /// Turn the live store into `snap` (keys strictly increasing), touching
+  /// only the entries that differ.  Returns false if the result may differ
+  /// from installing `snap` into an empty store: the live lease index was
+  /// not exact, or a lease found its (expiry, grant) slot taken.
+  bool merge(std::span<const SnapshotEntry> snap);
   /// Expire every lease whose deadline is at or below `now`, a group-clock
   /// reading the current request just took.
   void expire_leases(Micros now);

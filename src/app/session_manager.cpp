@@ -1,5 +1,9 @@
 #include "app/session_manager.hpp"
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 namespace cts::app {
 
 // --- Client-side helpers ---------------------------------------------------------
@@ -316,32 +320,50 @@ Bytes SessionManagerApp::checkpoint() const {
 }
 
 void SessionManagerApp::restore(const Bytes& state) {
+  // Parse the whole checkpoint before assigning anything: a malformed one
+  // throws CodecError here and leaves the app as it was.
   BytesReader r(state);
-  epoch_counter_ = r.u64();
-  reaped_ = r.u64();
-  handoff_.restore_seq(r.u64());
-  ids_.restore_minted(r.u64());
-  sessions_.clear();
-  deadlines_.clear();
+  const std::uint64_t epoch_counter = r.u64();
+  const std::uint64_t reaped = r.u64();
+  const std::uint64_t handoff_seq = r.u64();
+  const std::uint64_t minted = r.u64();
+  // Reserve no more than the bytes present can hold, so a lying count
+  // cannot trigger a huge allocation before the first read throws.
+  const auto reserve = [&r](auto& v, std::uint32_t n, std::size_t record_bytes) {
+    v.reserve(std::min<std::size_t>(n, r.remaining() / record_bytes));
+  };
+  std::vector<std::pair<std::uint64_t, Session>> sessions;
   const auto n = r.u32();
+  reserve(sessions, n, 4 * 8);
   for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint64_t id = r.u64();
-    Session s;
+    auto& [id, s] = sessions.emplace_back();
+    id = r.u64();
     s.ttl = r.i64();
     s.last_activity = r.i64();
     s.epoch = r.u64();
-    install(id, s);
   }
-  batches_.clear();
-  batched_ = 0;
+  std::vector<std::pair<std::uint64_t, Batch>> batches;
   const auto nb = r.u32();
+  reserve(batches, nb, 4 * 8 + 4);
   for (std::uint32_t i = 0; i < nb; ++i) {
-    const std::uint64_t base = r.u64();
-    Batch b;
+    auto& [base, b] = batches.emplace_back();
+    base = r.u64();
     b.count = r.u32();
     b.ttl = r.i64();
     b.last_activity = r.i64();
     b.epoch = r.u64();
+  }
+
+  epoch_counter_ = epoch_counter;
+  reaped_ = reaped;
+  handoff_.restore_seq(handoff_seq);
+  ids_.restore_minted(minted);
+  sessions_.clear();
+  deadlines_.clear();
+  for (const auto& [id, s] : sessions) install(id, s);
+  batches_.clear();
+  batched_ = 0;
+  for (const auto& [base, b] : batches) {
     batched_ += b.count;
     batches_[base] = b;
     arm(base, b, /*batch=*/true);

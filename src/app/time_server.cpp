@@ -1,7 +1,5 @@
 #include "app/time_server.hpp"
 
-#include <algorithm>
-
 namespace cts::app {
 
 Bytes make_get_time_request() {
@@ -89,15 +87,21 @@ Bytes TimeServerApp::checkpoint() const {
 }
 
 void TimeServerApp::restore(const Bytes& state) {
+  // Check the whole checkpoint before assigning anything: a malformed one
+  // throws CodecError here and leaves the app as it was.
   BytesReader r(state);
-  counter_ = r.u64();
+  const std::uint64_t counter = r.u64();
+  std::uint32_t n = 0;
+  if (!local_clock_) n = r.u32();
+  const std::size_t history_at = r.pos();
+  r.skip(std::size_t{n} * sizeof(std::int64_t));
+
+  counter_ = counter;
   history_.clear();
-  if (local_clock_) return;
-  const auto n = r.u32();
-  // Cap the reserve by the bytes actually present so a malformed checkpoint
-  // cannot trigger a huge allocation before the first read throws.
-  history_.reserve(std::min<std::size_t>(n, r.remaining() / sizeof(std::int64_t)));
-  for (std::uint32_t i = 0; i < n; ++i) history_.push_back(r.i64());
+  history_.reserve(n);
+  BytesReader h(state);
+  h.skip(history_at);
+  for (std::uint32_t i = 0; i < n; ++i) history_.push_back(h.i64());
 }
 
 std::uint64_t TimeServerApp::state_digest() const {

@@ -331,10 +331,14 @@ class BytesReader {
     return out;
   }
 
-  std::string str() {
+  std::string str() { return std::string(str_view()); }
+
+  /// str() without the copy: a view into the buffer this reader was
+  /// constructed over, valid for as long as that buffer is.
+  std::string_view str_view() {
     const auto n = u32();
     require(n);
-    std::string out(reinterpret_cast<const char*>(data_.data()) + pos_, n);
+    const std::string_view out(reinterpret_cast<const char*>(data_.data()) + pos_, n);
     pos_ += n;
     return out;
   }

@@ -41,8 +41,12 @@ struct CcsPayload {
   /// recovering replica's clock.
   bool special_round = false;
 
+  /// Encoded size: thread, call type, proposed clock, special flag.
+  static constexpr std::size_t kEncodedBytes = 4 + 1 + 8 + 1;
+
   [[nodiscard]] Bytes encode() const {
     BytesWriter w;
+    w.reserve(kEncodedBytes);
     w.u32(thread.value);
     w.u8(static_cast<std::uint8_t>(call_type));
     w.i64(proposed_clock);

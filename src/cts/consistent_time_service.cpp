@@ -404,17 +404,31 @@ Bytes ConsistentTimeService::checkpoint() const {
   return std::move(w).take();
 }
 
-void ConsistentTimeService::restore(const Bytes& state) {
+ConsistentTimeService::Snapshot ConsistentTimeService::decode_checkpoint(
+    std::span<const std::uint8_t> state) {
   BytesReader r(state);
-  last_group_clock_ = r.i64();
-  causal_floor_ = r.i64();
+  Snapshot snap;
+  snap.last_group_clock = r.i64();
+  snap.causal_floor = r.i64();
   const auto n = r.u32();
+  snap.threads.reserve(std::min<std::size_t>(n, r.remaining() / (4 + 8 + 8)));
   for (std::uint32_t i = 0; i < n; ++i) {
-    const ThreadId t{r.u32()};
-    auto& h = handlers_[t];
-    h.my_thread_id = t;
-    h.my_round_number = r.u64();
-    h.last_seq_seen = std::max(h.last_seq_seen, r.u64());
+    Snapshot::Thread& t = snap.threads.emplace_back();
+    t.id = ThreadId{r.u32()};
+    t.round_number = r.u64();
+    t.last_seq_seen = r.u64();
+  }
+  return snap;
+}
+
+void ConsistentTimeService::restore(const Snapshot& snap) {
+  last_group_clock_ = snap.last_group_clock;
+  causal_floor_ = snap.causal_floor;
+  for (const Snapshot::Thread& t : snap.threads) {
+    auto& h = handlers_[t.id];
+    h.my_thread_id = t.id;
+    h.my_round_number = t.round_number;
+    h.last_seq_seen = std::max(h.last_seq_seen, t.last_seq_seen);
     // Rounds up to my_round_number were consumed by the replica that took
     // the checkpoint; drop any copies buffered here before the restore.
     std::erase_if(h.my_input_buffer,

@@ -48,6 +48,8 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "clock/physical_clock.hpp"
 #include "common/types.hpp"
@@ -305,7 +307,22 @@ class ConsistentTimeService {
   /// round numbers (the offset is deliberately NOT transferred — it is
   /// local to each replica's own physical clock).
   [[nodiscard]] Bytes checkpoint() const;
-  void restore(const Bytes& state);
+  /// A decoded checkpoint().  Decoding throws CodecError on malformed bytes
+  /// and touches no service, so a caller can check the CTS state before it
+  /// applies anything else.
+  struct Snapshot {
+    struct Thread {
+      ThreadId id;
+      std::uint64_t round_number = 0;
+      std::uint64_t last_seq_seen = 0;
+    };
+    Micros last_group_clock = 0;
+    Micros causal_floor = 0;
+    std::vector<Thread> threads;
+  };
+  [[nodiscard]] static Snapshot decode_checkpoint(std::span<const std::uint8_t> state);
+  void restore(const Snapshot& snap);
+  void restore(const Bytes& state) { restore(decode_checkpoint(state)); }
 
   // --- Introspection ------------------------------------------------------------------
 

@@ -26,9 +26,10 @@ template <typename Key>
 class DeadlineIndex {
  public:
   /// Arm `key` to expire at group time `deadline`.  `stamp` must be unique
-  /// among the armed entries.
-  void arm(Micros deadline, std::uint64_t stamp, Key key) {
-    index_.emplace(Slot{deadline, stamp}, std::move(key));
+  /// among the armed entries; returns false, arming nothing, if an entry is
+  /// already armed at (deadline, stamp).
+  bool arm(Micros deadline, std::uint64_t stamp, Key key) {
+    return index_.emplace(Slot{deadline, stamp}, std::move(key)).second;
   }
 
   /// Disarm the entry armed at (deadline, stamp).  Returns false if there

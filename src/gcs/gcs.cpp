@@ -43,6 +43,7 @@ GcsEndpoint::GcsEndpoint(sim::Simulator& sim, totem::TotemNode& totem)
 
 Bytes GcsEndpoint::encode(const Message& m) {
   BytesWriter w;
+  w.reserve(kHeaderBytes + m.payload.size());
   w.u8(static_cast<std::uint8_t>(m.hdr.type));
   w.u32(m.hdr.src_grp.value);
   w.u32(m.hdr.dst_grp.value);

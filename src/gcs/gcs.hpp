@@ -181,6 +181,10 @@ class GcsEndpoint {
   /// oracle through it.
   [[nodiscard]] obs::Recorder* recorder() const { return rec_; }
 
+  /// encode() writes this many bytes ahead of the payload: the header
+  /// fields and the payload's u32 length prefix.
+  static constexpr std::size_t kHeaderBytes = 1 + 4 * 4 + 8 + 4 + 4 + 4;
+
   /// Serialize / parse the header+payload wire format (exposed for tests).
   /// decode() takes a span so both Bytes and zero-copy SharedBytes views
   /// parse without materializing a copy first; its payload is a fresh

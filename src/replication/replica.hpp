@@ -58,7 +58,9 @@ class Replica {
   /// Serialize the full application state for state transfer.
   [[nodiscard]] virtual Bytes checkpoint() const = 0;
 
-  /// Replace the application state with a checkpoint.
+  /// Replace the application state with a checkpoint.  All or nothing: a
+  /// malformed checkpoint throws CodecError and leaves the state unchanged.
+  /// Restoring schedules no events and draws no randomness.
   virtual void restore(const Bytes& state) = 0;
 
   /// Digest of the replica-deterministic state: equal at every replica

@@ -154,8 +154,8 @@ void ReplicaManager::start_cold() {
       // Disk contents survive crashes but not corruption: the persisted
       // payload carries its header chain, so a damaged checkpoint is
       // detected and ignored instead of booting the replica into garbage.
-      if (auto d = verify_state_payload(*state)) {
-        adopt_checkpoint(std::move(*d), /*persist=*/nullptr);
+      if (auto d = verify_state_payload(*state);
+          d && adopt_checkpoint(std::move(*d), /*persist=*/nullptr)) {
         delivery_count_ = processed_count_;
         CTS_INFO() << "replica " << to_string(cfg_.replica) << " cold-started from disk ("
                    << processed_count_ << " requests covered)";
@@ -381,19 +381,47 @@ std::optional<DecodedCheckpoint> ReplicaManager::verify_state_payload(
     ok = peek_covered(d->snapshot, shards_.size()) == d->headers.back().upto;
   }
   if (!ok) {
-    ++stats_.checkpoints_rejected;
-    if (rec_) ++*c_checkpoints_rejected_;
+    count_rejected_checkpoint();
     return std::nullopt;
   }
   return d;
 }
 
+void ReplicaManager::count_rejected_checkpoint() {
+  ++stats_.checkpoints_rejected;
+  if (rec_) ++*c_checkpoints_rejected_;
+}
+
+void ReplicaManager::restore_apps(std::span<const Bytes> states) {
+  // Each app restores all or nothing.  With several shards, a later shard's
+  // malformed state must also undo the shards already restored, so each is
+  // saved first; a single shard (every passive replica) saves nothing.
+  std::vector<Bytes> saved;
+  std::size_t i = 0;
+  try {
+    for (; i < shards_.size(); ++i) {
+      if (shards_.size() > 1) saved.push_back(shards_[i].app->checkpoint());
+      shards_[i].app->restore(states[i]);
+    }
+  } catch (const CodecError&) {
+    for (std::size_t j = 0; j < i; ++j) shards_[j].app->restore(saved[j]);
+    throw;
+  }
+}
+
 void ReplicaManager::apply_full_checkpoint(std::span<const std::uint8_t> state) {
+  // verify_state_payload() checked the layout: the shard count and every
+  // length.  What can still be malformed is an app or CTS state inside, so
+  // decode the CTS state and restore the apps before anything else
+  // changes; a CodecError from either leaves this replica as it was.
   BytesReader r(state);
-  r.u32();  // the shard count, checked against shards_ by verify_state_payload()
-  for (auto& sh : shards_) sh.app->restore(r.bytes());
-  const Bytes cts_state = r.bytes();
+  r.u32();
+  std::vector<Bytes> app_states;
+  app_states.reserve(shards_.size());
+  for (std::size_t i = 0; i < shards_.size(); ++i) app_states.push_back(r.bytes());
+  const auto cts_state = ccs::ConsistentTimeService::decode_checkpoint(r.bytes());
   const std::uint64_t covered = r.u64();
+  restore_apps(app_states);
   cts_.restore(cts_state);
   processed_count_ = covered;
   ++stats_.checkpoints_applied;
@@ -536,14 +564,13 @@ void ReplicaManager::on_state(const gcs::Message& m) {
       return;
     }
     auto d = verify_state_payload(m.payload);
-    if (!d) {
-      // Chain verification failed: do not adopt the state; ask again.
+    if (!d || !adopt_checkpoint(std::move(*d), &m.payload)) {
+      // A broken hash chain or a malformed state: nothing was adopted; ask again.
       CTS_WARN() << "replica " << to_string(cfg_.replica)
-                 << " rejected checkpoint with broken hash chain; re-requesting";
+                 << " rejected checkpoint; re-requesting";
       send_get_state();
       return;
     }
-    adopt_checkpoint(std::move(*d), &m.payload);
     recovering_ = false;
     gcs_.join_group(cfg_.group, cfg_.replica);  // now a full member
     std::size_t queued = 0;
@@ -572,8 +599,8 @@ void ReplicaManager::on_state(const gcs::Message& m) {
   if (m.hdr.tag == kColdStateTag) {
     // A cold-start announcement: adopt it only if it is strictly fresher
     // than our own restored state (equal counts imply equal state).
-    if (d->headers.back().upto > processed_count_) {
-      adopt_checkpoint(std::move(*d), &m.payload);
+    if (d->headers.back().upto > processed_count_ &&
+        adopt_checkpoint(std::move(*d), &m.payload)) {
       delivery_count_ = processed_count_;
     }
     return;
@@ -589,11 +616,21 @@ void ReplicaManager::on_state(const gcs::Message& m) {
   }
 }
 
-void ReplicaManager::adopt_checkpoint(DecodedCheckpoint d, const SharedBytes* persist) {
-  apply_full_checkpoint(d.snapshot);
+bool ReplicaManager::adopt_checkpoint(DecodedCheckpoint d, const SharedBytes* persist) {
+  try {
+    apply_full_checkpoint(d.snapshot);
+  } catch (const CodecError& e) {
+    // The chain verified, but the chain hash is no MAC: a state inside the
+    // snapshot is malformed.  Nothing was applied, chained or persisted.
+    count_rejected_checkpoint();
+    CTS_WARN() << "replica " << to_string(cfg_.replica)
+               << " rejected checkpoint with malformed state: " << e.what();
+    return false;
+  }
   chain_ = std::move(d.headers);
   note_chain();
   if (persist != nullptr) persist_locally(persist->to_bytes());
+  return true;
 }
 
 void ReplicaManager::note_chain() {

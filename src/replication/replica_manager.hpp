@@ -102,7 +102,8 @@ struct ManagerStats {
   std::uint64_t checkpoints_persisted = 0;
   std::uint64_t promotions = 0;
   std::uint64_t state_transfers_served = 0;
-  /// Checkpoints whose hash chain failed verification (dropped, re-requested).
+  /// Checkpoints dropped (and, while recovering, re-requested) unapplied:
+  /// the hash chain failed verification, or a state inside was malformed.
   std::uint64_t checkpoints_rejected = 0;
 };
 
@@ -191,11 +192,18 @@ class ReplicaManager {
   /// (and counts a rejection) unless every link recomputes and the final
   /// digest covers the shipped snapshot.
   std::optional<DecodedCheckpoint> verify_state_payload(std::span<const std::uint8_t> payload);
+  void count_rejected_checkpoint();
+  /// Restore shard i's app from states[i], all or nothing: on a CodecError
+  /// every app is as it was, and the error propagates.
+  void restore_apps(std::span<const Bytes> states);
+  /// Apply a snapshot whose layout verify_state_payload() checked.  Throws
+  /// CodecError, having changed nothing, if a state inside is malformed.
   void apply_full_checkpoint(std::span<const std::uint8_t> state);
   /// Adopt a verified checkpoint: apply its snapshot, continue its chain,
   /// and write `persist` (the payload it arrived in) to stable storage
-  /// unless it is null.
-  void adopt_checkpoint(DecodedCheckpoint d, const SharedBytes* persist);
+  /// unless it is null.  Returns false, having changed nothing but the
+  /// rejection count, if a state inside the snapshot is malformed.
+  bool adopt_checkpoint(DecodedCheckpoint d, const SharedBytes* persist);
   /// Report the current checkpoint chain to the ordering oracle (no-op
   /// without one).  Called at every adoption/extension site.
   void note_chain();

@@ -8,7 +8,8 @@
 //   * a unicast send allocates the payload once, not twice (the historical
 //     double copy: caller -> send() -> deliver closure);
 //   * scheduling events whose closures fit InlineFn's 48-byte inline buffer
-//     allocates nothing at steady state (the event arena is warm).
+//     allocates nothing at steady state (the event arena is warm);
+//   * an unfragmented GCS send sizes its wire buffer once.
 //
 // Every measurement runs after a warm-up round so one-time arena growth
 // (event-heap slots, NIC queues) is excluded; what remains is the per-send
@@ -18,10 +19,14 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <vector>
 
+#include "gcs/gcs.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
+#include "totem/totem.hpp"
 
 namespace {
 
@@ -174,6 +179,53 @@ TEST(AllocTest, BroadcastDeliveryClosuresDoNotAllocateAtSteadyState) {
   EXPECT_EQ(after.payload_sized - before.payload_sized, 0u);
   EXPECT_LE(after.calls - before.calls, 2u)
       << "broadcast delivery allocated " << (after.bytes - before.bytes) << " bytes";
+}
+
+TEST(AllocTest, UnfragmentedGcsSendAllocatesAFixedSmallNumberOfTimes) {
+  // Two nodes form a ring; node 0 multicasts 200-byte messages.  The send
+  // itself (not the delivery) allocates the wire buffer once, reserved to
+  // header + payload, plus the message's Totem handle list.  Growing the
+  // wire buffer field by field used to reallocate it several times.
+  sim::Simulator sim{1};
+  Network net(sim, {});
+  totem::TotemConfig tcfg;
+  tcfg.universe = {NodeId{0}, NodeId{1}};
+  std::vector<std::unique_ptr<totem::TotemNode>> totems;
+  std::vector<std::unique_ptr<gcs::GcsEndpoint>> eps;
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    totems.push_back(std::make_unique<totem::TotemNode>(sim, net, NodeId{i}, tcfg));
+    eps.push_back(std::make_unique<gcs::GcsEndpoint>(sim, *totems.back()));
+    totems.back()->start();
+  }
+  std::size_t delivered = 0;
+  eps[1]->subscribe(GroupId{1}, [&](const gcs::Message&) { ++delivered; });
+  sim.run_for(100'000);
+
+  MsgSeqNum seq = 0;
+  const auto message = [&] {
+    gcs::Message m;
+    m.hdr.type = gcs::MsgType::kUserRequest;
+    m.hdr.src_grp = GroupId{2};
+    m.hdr.dst_grp = GroupId{1};
+    m.hdr.conn = ConnectionId{1};
+    m.hdr.seq = ++seq;
+    m.payload = Bytes(200, 0x42);
+    return m;
+  };
+  for (int i = 0; i < 8; ++i) {  // warm-up: grows the pending and send queues
+    eps[0]->send(message());
+    sim.run_for(10'000);
+  }
+  ASSERT_EQ(delivered, 8u);
+
+  gcs::Message m = message();
+  const AllocSnapshot before = snap();
+  eps[0]->send(std::move(m));
+  const AllocSnapshot after = snap();
+  EXPECT_EQ(after.calls - before.calls, 2u)
+      << "one send allocated " << (after.bytes - before.bytes) << " bytes";
+  sim.run_for(10'000);
+  EXPECT_EQ(delivered, 9u);
 }
 
 }  // namespace

@@ -296,58 +296,125 @@ TEST(RecoveryTest, RetriedGetStateCrossingItsOwnReplyIsDroppedNotDoubleApplied) 
   EXPECT_EQ(tb.server_app(2).counter(), tb.server_app(0).counter());
 }
 
+// A settled 3-replica time-server group, and a forger of cold-start
+// announcements.  The checkpoint chain hash is not a MAC: any sender can
+// recompute it over a snapshot of its choosing.  The forged snapshot
+// claims a covered count far ahead of the group's, so an announcement that
+// passed every check would be adopted.
+struct ForgedCheckpointBed {
+  static constexpr std::uint64_t kCovered = 1'000'000;
+  Testbed tb;
+  std::vector<std::uint64_t> digests;  // every server's shards, in order
+  std::vector<Bytes> cts_states;
+
+  explicit ForgedCheckpointBed(std::uint32_t shards = 1) : tb(config(shards)) {
+    tb.start();
+    std::vector<Bytes> replies;
+    drive_client(tb, 20, replies);
+    EXPECT_TRUE(run_until(tb, [&] { return replies.size() >= 20; }, 60'000'000));
+    tb.sim().run_for(100'000);
+    digests = app_digests();
+    for (std::uint32_t s = 0; s < tb.server_count(); ++s) {
+      cts_states.push_back(tb.server(s).time_service().checkpoint());
+      EXPECT_EQ(tb.server(s).stats().checkpoints_rejected, 0u);
+    }
+  }
+
+  static TestbedConfig config(std::uint32_t shards) {
+    TestbedConfig cfg;
+    cfg.shards = shards;
+    return cfg;
+  }
+
+  std::vector<std::uint64_t> app_digests() {
+    std::vector<std::uint64_t> out;
+    for (std::uint32_t s = 0; s < tb.server_count(); ++s) {
+      for (std::uint32_t sh = 0; sh < tb.server(s).shard_count(); ++sh) {
+        out.push_back(tb.server(s).app(sh).state_digest());
+      }
+    }
+    return out;
+  }
+
+  /// Multicast, from the client's node, a cold-start announcement whose
+  /// snapshot holds `app_states` and `cts_state`, then let it deliver.
+  void announce(const std::vector<Bytes>& app_states, const Bytes& cts_state) {
+    BytesWriter w;
+    w.u32(static_cast<std::uint32_t>(app_states.size()));
+    for (const Bytes& a : app_states) w.bytes(a);
+    w.bytes(cts_state);
+    w.u64(kCovered);
+    const Bytes snapshot = std::move(w).take();
+    std::vector<replication::CheckpointHeader> chain;
+    replication::extend_chain(chain, kCovered, snapshot);
+
+    const replication::ReplicaManager& victim = tb.server(0);
+    gcs::Message m;
+    m.hdr.type = gcs::MsgType::kState;
+    m.hdr.src_grp = tb.config().server_group;
+    m.hdr.dst_grp = tb.config().server_group;
+    m.hdr.conn = victim.config().state_conn;
+    m.hdr.tag = ThreadId{2};  // the cold-start announcement stream
+    m.hdr.seq = kCovered + 1;
+    m.hdr.sender_replica = ReplicaId{7};
+    m.payload = replication::encode_chained_checkpoint(snapshot, chain);
+    tb.gcs_of(0).send(std::move(m));
+    tb.sim().run_for(1'000'000);
+  }
+
+  /// Every server counted the announcement as a rejected checkpoint and
+  /// applied none of it; the packet that carried it was processed normally.
+  void expect_rejected_not_applied() {
+    for (std::uint32_t s = 0; s < tb.server_count(); ++s) {
+      replication::ReplicaManager& r = tb.server(s);
+      EXPECT_EQ(r.stats().checkpoints_rejected, 1u) << "server " << s;
+      EXPECT_EQ(r.stats().checkpoints_applied, 0u) << "server " << s;
+      EXPECT_EQ(r.time_service().checkpoint(), cts_states[s]) << "server " << s;
+      EXPECT_EQ(tb.totem_of(tb.server_node(s)).stats().packets_rejected_body, 0u)
+          << "server " << s;
+    }
+    EXPECT_EQ(app_digests(), digests);
+    if (obs::OrderingOracle* orc = tb.recorder().oracle()) {
+      EXPECT_EQ(orc->violations(), 0u);
+    }
+  }
+};
+
 TEST(RecoveryTest, ForgedShardCountCheckpointIsRejectedNotApplied) {
-  // The checkpoint chain hash is not a MAC: any sender can recompute it.  A
-  // cold-start announcement whose snapshot declares 2 shards, sent to
-  // 1-shard replicas with a correctly recomputed chain, used to pass
-  // verification and then restore shard states past the end of the
-  // replica's shard table.  It must be rejected and counted instead.
-  TestbedConfig cfg;
-  Testbed tb(cfg);
-  tb.start();
-  std::vector<Bytes> replies;
-  drive_client(tb, 20, replies);
-  ASSERT_TRUE(run_until(tb, [&] { return replies.size() >= 20; }, 60'000'000));
-  tb.sim().run_for(100'000);
-  std::vector<std::uint64_t> digests;
-  for (std::uint32_t s = 0; s < tb.server_count(); ++s) {
-    digests.push_back(tb.server(s).app().state_digest());
-    ASSERT_EQ(tb.server(s).stats().checkpoints_rejected, 0u);
-  }
+  // Two app states sent to 1-shard replicas used to pass verification and
+  // then restore shard states past the end of the replica's shard table.
+  ForgedCheckpointBed bed;
+  const Bytes app = bed.tb.server(0).app().checkpoint();
+  bed.announce({app, app}, bed.cts_states[0]);
+  bed.expect_rejected_not_applied();
+}
 
-  // Two app states, the CTS state, and a covered count far ahead of the
-  // group's, so an accepted announcement would be adopted.
-  constexpr std::uint64_t kCovered = 1'000'000;
-  replication::ReplicaManager& victim = tb.server(0);
-  BytesWriter w;
-  w.u32(2);
-  w.bytes(victim.app().checkpoint());
-  w.bytes(victim.app().checkpoint());
-  w.bytes(victim.time_service().checkpoint());
-  w.u64(kCovered);
-  const Bytes snapshot = std::move(w).take();
-  std::vector<replication::CheckpointHeader> chain;
-  replication::extend_chain(chain, kCovered, snapshot);
+TEST(RecoveryTest, MalformedAppStateCheckpointIsRejectedNotApplied) {
+  // The layout verifies, but the 3-byte app state is truncated.  Its
+  // restore used to throw out of GCS delivery into Totem, which counted a
+  // malformed packet and dropped the rest of that packet's batch.
+  ForgedCheckpointBed bed;
+  bed.announce({Bytes{1, 2, 3}}, bed.cts_states[0]);
+  bed.expect_rejected_not_applied();
+}
 
-  gcs::Message m;
-  m.hdr.type = gcs::MsgType::kState;
-  m.hdr.src_grp = tb.config().server_group;
-  m.hdr.dst_grp = tb.config().server_group;
-  m.hdr.conn = victim.config().state_conn;
-  m.hdr.tag = ThreadId{2};  // the cold-start announcement stream
-  m.hdr.seq = kCovered + 1;
-  m.hdr.sender_replica = ReplicaId{7};
-  m.payload = replication::encode_chained_checkpoint(snapshot, chain);
-  tb.gcs_of(0).send(std::move(m));  // from the client's node
-  tb.sim().run_for(1'000'000);
+TEST(RecoveryTest, MalformedSecondShardStateRollsTheFirstShardBack) {
+  // Shard 0's state is well formed and differs from the live one; shard 1's
+  // is truncated.  Shard 0 is restored first, so it must be put back.
+  ForgedCheckpointBed bed(/*shards=*/2);
+  BytesWriter counter_only;
+  counter_only.u64(12'345);
+  counter_only.u32(0);  // an empty history
+  bed.announce({std::move(counter_only).take(), Bytes{1, 2, 3}}, bed.cts_states[0]);
+  bed.expect_rejected_not_applied();
+}
 
-  for (std::uint32_t s = 0; s < tb.server_count(); ++s) {
-    EXPECT_EQ(tb.server(s).stats().checkpoints_rejected, 1u) << "server " << s;
-    EXPECT_EQ(tb.server(s).app().state_digest(), digests[s]) << "server " << s;
-  }
-  if (obs::OrderingOracle* orc = tb.recorder().oracle()) {
-    EXPECT_EQ(orc->violations(), 0u);
-  }
+TEST(RecoveryTest, MalformedCtsStateCheckpointIsRejectedNotApplied) {
+  // A well-formed app state next to a truncated CTS state: the app must not
+  // be restored either, because the CTS state is checked first.
+  ForgedCheckpointBed bed;
+  bed.announce({bed.tb.server(0).app().checkpoint()}, Bytes{1, 2, 3});
+  bed.expect_rejected_not_applied();
 }
 
 TEST(RecoveryTest, RepeatedCrashRecoverCycles) {

@@ -65,6 +65,8 @@ KNOWN_BENCHMARKS = frozenset({
     "BM_FullStackSimulationSpeed",
     # Totem envelope seal + verify (53-byte token, 7 KiB batch frame).
     "BM_EnvelopeSealVerify",
+    # A passive backup's KV restore of a checkpoint 10 keys away.
+    "BM_KvCheckpointApply",
 })
 
 # Optimization PRs whose before/after pair is part of the recorded history:
@@ -85,6 +87,8 @@ REQUIRED_PAIR_PREFIXES = frozenset({
     # Word-at-a-time integrity hashes (BM_EnvelopeSealVerify,
     # BM_StateTransferVerify, BM_RingBatchThroughput, BM_TokenRingEventsPerSec).
     "pr21",
+    # KV checkpoints restored in place (BM_KvCheckpointApply).
+    "pr23",
 })
 RECORDED_TRAJECTORY = "BENCH_sim_core.json"
 
