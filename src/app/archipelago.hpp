@@ -40,6 +40,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -60,17 +61,19 @@ struct ArchipelagoConfig {
   /// (and there is no RMI client, so no gateway router either).
   TopologySpec topo;
 
-  replication::ReplicationStyle style = replication::ReplicationStyle::kActive;
+  /// Every ring's Testbed starts as a copy of this template (style, LAN,
+  /// Totem, clocks, CTS options, checkpoint cadence); the Archipelago then
+  /// sets each copy's servers, client, seed, groups, factory and oracle from
+  /// topo, seed, app and oracle, so those ring fields must keep their
+  /// defaults (the constructor throws otherwise).
+  TestbedConfig ring;
+
   std::uint64_t seed = 1;
 
   /// Per-ring application factory (nullptr ring entries fall back to the
   /// paper's time server).  Receives the deployment's ShardMap so sharded
   /// apps (KvStoreApp, SessionManagerApp) can wire their handoff streams.
   std::function<replication::ReplicaFactory(const ShardMap&, std::size_t ring)> app;
-
-  /// Per-ring LAN and Totem parameters (applied to every ring).
-  net::NetworkConfig net;
-  totem::TotemConfig totem;
 
   /// One-way inter-ring latency; doubles as the coordinator's conservative
   /// window floor, so larger values mean fewer, fatter parallel epochs.
@@ -96,6 +99,15 @@ class Archipelago {
         map_(cfg_.topo),
         coord_(cfg_.link_latency_us),
         link_(coord_, net::IslandLinkConfig{cfg_.link_latency_us}) {
+    const TestbedConfig fresh;
+    const TestbedConfig& t = cfg_.ring;
+    if (t.servers != fresh.servers || t.with_client != fresh.with_client || t.seed != fresh.seed ||
+        t.oracle != fresh.oracle || t.server_group != fresh.server_group ||
+        t.client_group != fresh.client_group || t.factory) {
+      throw std::invalid_argument(
+          "Archipelago: ring servers/client/seed/oracle/groups/factory are set per ring "
+          "from topo, seed, oracle and app");
+    }
     const std::size_t rings = map_.rings();
     const std::size_t servers = map_.servers();
     deliveries_.assign(rings, 0);
@@ -105,17 +117,14 @@ class Archipelago {
     routers_.resize(rings);
 
     for (std::size_t r = 0; r < rings; ++r) {
-      TestbedConfig tc;
+      TestbedConfig tc = cfg_.ring;
       tc.servers = servers;
       tc.with_client = cfg_.topo.with_client;
-      tc.style = cfg_.style;
       tc.seed = ShardMap::ring_seed(cfg_.seed, r);
-      tc.net = cfg_.net;
-      tc.totem = cfg_.totem;
       tc.oracle = cfg_.oracle;
       tc.server_group = map_.server_group(r);
       tc.client_group = map_.client_group(r);
-      if (cfg_.app) tc.factory = cfg_.app(map_, r);
+      tc.factory = cfg_.app ? cfg_.app(map_, r) : nullptr;
       rings_.push_back(std::make_unique<Testbed>(std::move(tc)));
       islands_.push_back(coord_.add_island(rings_.back()->sim()));
       // Resolve the ring's xring.* counter handles once: each ring's

@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
+#include <memory>
+#include <span>
 #include <stdexcept>
-#include <string_view>
+#include <utility>
 
 #include "app/archipelago.hpp"
 #include "app/kv_store.hpp"
@@ -31,6 +32,9 @@ constexpr double kRemoteFraction = 0.5;
 
 /// Upper bound on the seeds one `--seed` list may expand to.
 constexpr std::size_t kMaxSeeds = std::size_t{1} << 20;
+
+/// A closed-loop run gives up this long (simulated) after its last reply.
+constexpr Micros kReplyPatienceUs = 600'000'000;
 
 [[gnu::format(printf, 2, 3)]] void appendf(std::string& out, const char* fmt, ...) {
   std::va_list ap;
@@ -94,8 +98,8 @@ std::vector<std::uint64_t> parse_seeds(const std::string& text) {
 struct RingLoad {
   std::vector<Micros> stamps;  // time-server replies, in reply order
   Histogram lat{10, 10'000};
+  std::uint64_t issued = 0;
   std::uint64_t replies = 0;
-  std::uint8_t done = 0;
 };
 
 Bytes random_kv_request(Rng& rng, const std::string& key, int i) {
@@ -112,6 +116,7 @@ sim::Task client_loop(Testbed& tb, const ScenarioSpec& o, RingLoad& load) {
   for (int i = 0; i < o.invocations; ++i) {
     co_await tb.sim().delay(o.think_us);
     const Micros t0 = tb.sim().now();
+    ++load.issued;
     if (o.kv) {
       const std::string key = "k" + std::to_string(rng.below(32));
       (void)co_await tb.client().call(random_kv_request(rng, key, i));
@@ -124,7 +129,6 @@ sim::Task client_loop(Testbed& tb, const ScenarioSpec& o, RingLoad& load) {
     }
     ++load.replies;
   }
-  load.done = 1;
 }
 
 /// Sharded KV client for multi-ring runs: ring r's client mixes ring-local
@@ -145,11 +149,108 @@ sim::Task kv_loop_sharded(Archipelago& ar, std::size_t r, const ScenarioSpec& o,
     } while ((map.shard_of_key(key) != r) == !want_remote);
     Bytes req = random_kv_request(rng, key, i);
     const Micros t0 = ar.ring(r).sim().now();
+    ++load.issued;
     (void)co_await ar.router(r).call(std::move(req));
     load.lat.add(ar.ring(r).sim().now() - t0);
     ++load.replies;
   }
-  load.done = 1;
+}
+
+/// Run `clock` (a Simulator or an Archipelago) in 1 s slices until every
+/// client loop has its `invocations` replies, giving up after
+/// kReplyPatienceUs without a new reply, then a 2 s tail.
+template <typename Clock>
+void drain_clients(Clock& clock, std::span<const RingLoad> load, int invocations) {
+  auto replies = [&] {
+    std::uint64_t n = 0;
+    for (const RingLoad& l : load) n += l.replies;
+    return n;
+  };
+  const std::uint64_t want = static_cast<std::uint64_t>(invocations) * load.size();
+  Micros last_reply = clock.now();
+  for (std::uint64_t seen = replies(); seen < want;) {
+    clock.run_until(clock.now() + 1'000'000);
+    if (const std::uint64_t n = replies(); n != seen) {
+      seen = n;
+      last_reply = clock.now();
+    } else if (clock.now() - last_reply >= kReplyPatienceUs) {
+      break;
+    }
+  }
+  clock.run_for(2'000'000);
+}
+
+/// The KV crash fuzz behind `--chaos` (scenario.hpp), stepped from outside
+/// the event loop.  Every draw comes from one Rng in a fixed order, so a
+/// seed replays its whole schedule.  Replies land in `load`.
+void run_chaos(Testbed& tb, const ScenarioSpec& o, RingLoad& load, std::string& out) {
+  enum : std::uint8_t { kUp, kDown, kRejoining };
+  Rng rng(o.seed * 7 + 1);
+  const auto n = static_cast<std::uint32_t>(tb.server_count());
+  std::vector<std::uint8_t> state(n, kUp);
+  auto narrate = [&](const char* what, std::uint32_t v) {
+    if (o.verbose) appendf(out, "[%lld us] %s replica %u\n", ll(tb.sim().now()), what, v);
+  };
+  auto restart = [&](std::uint32_t v) {
+    narrate("recover", v);
+    state[v] = kRejoining;
+    tb.restart_server(v, [&state, v] { state[v] = kUp; });
+  };
+  auto issue = [&] {
+    const std::string key = "k" + std::to_string(rng.below(10));
+    Bytes req;
+    switch (rng.below(5)) {
+      case 0: req = kv_put(key, "v" + std::to_string(load.issued), rng.below(3)); break;
+      case 1: req = kv_get(key); break;
+      case 2: req = kv_del(key, rng.below(3)); break;
+      case 3: {
+        const Micros ttl = 1'000 + static_cast<Micros>(rng.below(20'000));
+        req = kv_acquire(key, 1 + rng.below(3), ttl);
+        break;
+      }
+      default: req = kv_release(key, 1 + rng.below(3)); break;
+    }
+    ++load.issued;
+    tb.client().invoke(std::move(req), [&load, &sim = tb.sim(), t0 = tb.sim().now()](const Bytes&) {
+      load.lat.add(sim.now() - t0);
+      ++load.replies;
+    });
+  };
+  auto up = [&] { return static_cast<std::uint32_t>(std::count(state.begin(), state.end(), kUp)); };
+
+  for (int step = 0; step < o.invocations; ++step) {
+    tb.sim().run_for(rng.range(o.think_us, 10 * o.think_us));
+    const std::uint64_t roll = rng.below(o.chaos);
+    if (roll == 0) {
+      // Crash only if a majority of the universe (the servers and the
+      // client) stays up: with three servers, all three must be up.
+      if (2 * up() > n + 1) {
+        const auto v = static_cast<std::uint32_t>(rng.below(n));
+        if (state[v] == kUp) {
+          narrate("crash", v);
+          state[v] = kDown;
+          tb.crash_server(v);
+        }
+      }
+    } else if (roll == 1) {
+      const auto v = std::find(state.begin(), state.end(), kDown);
+      if (v != state.end()) restart(static_cast<std::uint32_t>(v - state.begin()));
+    } else {
+      issue();
+    }
+  }
+
+  // Quiesce: restart every crashed replica, then drain until every request
+  // is answered and every replica has rejoined.
+  for (std::uint32_t v = 0; v < n; ++v) {
+    if (state[v] == kDown) restart(v);
+  }
+  const Micros give_up = tb.sim().now() + kReplyPatienceUs;
+  while (tb.sim().now() < give_up) {
+    tb.sim().run_until(tb.sim().now() + 100'000);
+    if (load.replies == load.issued && up() == n) break;
+  }
+  tb.sim().run_for(5'000'000);
 }
 
 /// Schedule the spec's faults on `sim`.  Times are absolute; a fault timed
@@ -193,6 +294,7 @@ bool replicas_consistent(Testbed& tb, const ScenarioSpec& o) {
 /// Add one ring's oracle, cross-shard, tripwire, liveness and rejoin totals.
 void tally_ring(Testbed& tb, ScenarioResult& res) {
   if (const auto* orc = tb.recorder().oracle()) {
+    res.oracle_checks += orc->checks_run();
     res.oracle_violations += orc->violations();
     res.cross_shard += orc->cross_shard_violations();
   }
@@ -224,13 +326,14 @@ std::uint64_t export_digest(const std::vector<obs::Recorder*>& recs) {
   return h;
 }
 
-// --- One ring: a Testbed -----------------------------------------------------
+// --- Rings -------------------------------------------------------------------
 
-ScenarioResult run_testbed(const ScenarioSpec& o) {
+/// The settings every ring of `o` shares: the Archipelago's ring template.
+/// Servers, seed and factory are set per ring (by run_testbed, or by the
+/// Archipelago from its topology, seed and app).
+TestbedConfig ring_config(const ScenarioSpec& o) {
   TestbedConfig cfg;
-  cfg.servers = o.servers;
   cfg.style = o.style;
-  cfg.seed = o.seed;
   cfg.net.loss_probability = o.loss;
   cfg.max_clock_offset_us = o.max_clock_offset_us;
   cfg.max_drift_ppm = o.max_drift_ppm;
@@ -242,15 +345,32 @@ ScenarioResult run_testbed(const ScenarioSpec& o) {
   if (o.shards > 1) cfg.shard_fn = kv_shard_of;
   cfg.with_stable_storage = o.durable;
   if (o.durable) cfg.persist_every = 10;
-  if (o.kv) cfg.factory = kv_store_factory();
-  Testbed tb(cfg);
+  return cfg;
+}
 
-  clock::ReferenceTimeSource ref(tb.sim(), Rng(o.seed * 31 + 5), 200);
-  if (o.drift == ccs::DriftCompensation::kReferenceBias) {
-    for (std::uint32_t s = 0; s < tb.server_count(); ++s) {
-      tb.server(s).time_service().set_reference(&ref);
-    }
+/// With `--drift reference`, a reference clock on `tb`'s simulator, seeded
+/// from the ring's seed, that every server reads; null otherwise.  Set
+/// before start-up: a restarted replica runs without it.
+std::unique_ptr<clock::ReferenceTimeSource> attach_reference(Testbed& tb,
+                                                             const ScenarioSpec& o) {
+  if (o.drift != ccs::DriftCompensation::kReferenceBias) return nullptr;
+  auto ref = std::make_unique<clock::ReferenceTimeSource>(tb.sim(),
+                                                          Rng(tb.config().seed * 31 + 5), 200);
+  for (std::uint32_t s = 0; s < tb.server_count(); ++s) {
+    tb.server(s).time_service().set_reference(ref.get());
   }
+  return ref;
+}
+
+// --- One ring: a Testbed -----------------------------------------------------
+
+ScenarioResult run_testbed(const ScenarioSpec& o) {
+  TestbedConfig cfg = ring_config(o);
+  cfg.servers = o.servers;
+  cfg.seed = o.seed;
+  if (o.kv) cfg.factory = kv_store_factory();
+  Testbed tb(std::move(cfg));
+  const auto ref = attach_reference(tb, o);
   tb.start();
 
   ScenarioResult res;
@@ -268,12 +388,15 @@ ScenarioResult run_testbed(const ScenarioSpec& o) {
   schedule_faults(tb.sim(), o, apply);
 
   RingLoad load;
-  client_loop(tb, o, load);
-  const Micros deadline = 600'000'000'000LL;
-  while (!load.done && tb.sim().now() < deadline) tb.sim().run_until(tb.sim().now() + 1'000'000);
-  tb.sim().run_for(2'000'000);
+  if (o.chaos > 0) {
+    run_chaos(tb, o, load, out);
+  } else {
+    client_loop(tb, o, load);
+    drain_clients(tb.sim(), {&load, 1}, o.invocations);
+  }
 
   res.replies = load.replies;
+  res.dropped = load.issued - load.replies;
   res.monotonicity_violations = monotonicity_violations(load.stamps);
   res.consistent = replicas_consistent(tb, o);
   tally_ring(tb, res);
@@ -297,6 +420,7 @@ ScenarioResult run_testbed(const ScenarioSpec& o) {
           ull(ccs_wire), rounds ? static_cast<double>(ccs_wire) / static_cast<double>(rounds) : 0.0);
   appendf(out, "replica state consistent: %s\n", res.consistent ? "yes" : "NO");
   if (res.unrecovered) appendf(out, "replicas still rejoining: %llu\n", ull(res.unrecovered));
+  if (res.dropped) appendf(out, "dropped replies: %llu\n", ull(res.dropped));
   out += "\nper-replica detail:\n";
   for (std::uint32_t s = 0; s < tb.server_count(); ++s) {
     const auto& st = tb.server(s).stats();
@@ -332,9 +456,8 @@ ScenarioResult run_testbed(const ScenarioSpec& o) {
 ScenarioResult run_archipelago(const ScenarioSpec& o) {
   ArchipelagoConfig acfg;
   acfg.topo = TopologySpec{o.rings, o.servers, /*with_client=*/true};
-  acfg.style = o.style;
+  acfg.ring = ring_config(o);
   acfg.seed = o.seed;
-  acfg.net.loss_probability = o.loss;
   acfg.threads = o.threads;
   if (o.kv) {
     acfg.app = [](const ShardMap& map, std::size_t ring) {
@@ -342,6 +465,8 @@ ScenarioResult run_archipelago(const ScenarioSpec& o) {
     };
   }
   Archipelago ar(acfg);
+  std::vector<std::unique_ptr<clock::ReferenceTimeSource>> refs;
+  for (std::size_t r = 0; r < o.rings; ++r) refs.push_back(attach_reference(ar.ring(r), o));
   ar.start();
 
   auto apply = [&ar](const FaultEvent& f) {
@@ -366,12 +491,7 @@ ScenarioResult run_archipelago(const ScenarioSpec& o) {
     }
   }
 
-  const Micros deadline = 600'000'000'000LL;
-  auto all_done = [&] {
-    return std::all_of(load.begin(), load.end(), [](const RingLoad& l) { return l.done != 0; });
-  };
-  while (!all_done() && ar.now() < deadline) ar.run_until(ar.now() + 1'000'000);
-  ar.run_for(2'000'000);
+  drain_clients(ar, load, o.invocations);
 
   ScenarioResult res;
   res.seed = o.seed;
@@ -386,6 +506,7 @@ ScenarioResult run_archipelago(const ScenarioSpec& o) {
     const std::uint64_t ring_viol = monotonicity_violations(load[r].stamps);
     const bool ring_consistent = replicas_consistent(tb, o);
     res.replies += load[r].replies;
+    res.dropped += load[r].issued - load[r].replies;
     res.monotonicity_violations += ring_viol;
     res.consistent = res.consistent && ring_consistent;
     tally_ring(tb, res);
@@ -412,6 +533,7 @@ ScenarioResult run_archipelago(const ScenarioSpec& o) {
   appendf(out, "total monotonicity violations: %llu;  all rings consistent: %s\n",
           ull(res.monotonicity_violations), res.consistent ? "yes" : "NO");
   if (res.unrecovered) appendf(out, "replicas still rejoining: %llu\n", ull(res.unrecovered));
+  if (res.dropped) appendf(out, "dropped replies: %llu\n", ull(res.dropped));
 
   // Exports are merged across islands in ring order, so they are
   // byte-stable for any thread count.
@@ -438,13 +560,6 @@ ScenarioArgs parse_scenario_args(int argc, const char* const* argv) {
   ScenarioArgs args;
   ScenarioSpec& o = args.spec;
   args.seeds = {o.seed};
-  // Flags only the single-ring Testbed honours (run_archipelago does not
-  // forward them), and the last of them given.  Tracked by name, not by
-  // value: the rings run with checkpoint_every 0, not the default.
-  static constexpr std::string_view kOneRingOnly[] = {"--clock-offset",   "--clock-drift",
-                                                      "--drift",          "--mean-delay",
-                                                      "--reference-gain", "--checkpoint-every"};
-  std::string one_ring_flag;
   try {
     auto need = [&](int& i) -> std::string {
       if (++i >= argc) throw std::invalid_argument("missing value");
@@ -452,9 +567,6 @@ ScenarioArgs parse_scenario_args(int argc, const char* const* argv) {
     };
     for (int i = 1; i < argc; ++i) {
       const std::string a = argv[i];
-      if (std::find(std::begin(kOneRingOnly), std::end(kOneRingOnly), a) != std::end(kOneRingOnly)) {
-        one_ring_flag = a;
-      }
       if (a == "--servers") o.servers = std::stoul(need(i));
       else if (a == "--style") {
         const auto v = need(i);
@@ -480,6 +592,7 @@ ScenarioArgs parse_scenario_args(int argc, const char* const* argv) {
       else if (a == "--crash") o.faults.push_back(parse_fault(FaultEvent::Kind::kCrash, need(i)));
       else if (a == "--recover") o.faults.push_back(parse_fault(FaultEvent::Kind::kRecover, need(i)));
       else if (a == "--shards") o.shards = static_cast<std::uint32_t>(std::stoul(need(i)));
+      else if (a == "--chaos") o.chaos = static_cast<std::uint32_t>(std::stoul(need(i)));
       else if (a == "--rings") o.rings = std::stoul(need(i));
       else if (a == "--topology") {
         const auto topo = TopologySpec::parse(need(i));
@@ -508,18 +621,12 @@ ScenarioArgs parse_scenario_args(int argc, const char* const* argv) {
   if (o.rings > 1 && (o.durable || o.shards > 1)) {
     args.error = "--rings > 1 does not support --durable/--shards";
   }
-  if (o.rings > 1 && !one_ring_flag.empty()) {
-    args.error = "--rings > 1 does not support " + one_ring_flag + " (one ring only)";
+  if (o.chaos > 0 && (!o.kv || o.rings > 1 || !o.faults.empty())) {
+    args.error = "--chaos needs --kv and one ring, and takes no --crash/--recover";
   }
   // Every seed would write the same export path at once.
-  auto env_set = [](const char* name) {
-    const char* v = std::getenv(name);
-    return v && *v;
-  };
-  if (args.seeds.size() > 1 && (!o.metrics_json.empty() || !o.trace_jsonl.empty() ||
-                                env_set("CTS_METRICS_JSON") || env_set("CTS_TRACE_JSONL"))) {
-    args.error = "--metrics-json, --trace-jsonl, CTS_METRICS_JSON and CTS_TRACE_JSONL "
-                 "take a single seed";
+  if (args.seeds.size() > 1 && (!o.metrics_json.empty() || !o.trace_jsonl.empty())) {
+    args.error = "--metrics-json and --trace-jsonl take a single seed";
   }
   return args;
 }
@@ -532,14 +639,17 @@ const char* scenario_usage() {
          "  --seed N|A,B|A-B        seed, seed list or inclusive range (default 1); several\n"
          "                          seeds print one JSON line each, in the order given\n"
          "  --loss P                packet loss probability (default 0)\n"
-         "  --clock-offset US       max initial hw clock offset, us (default 500000; one ring only)\n"
-         "  --clock-drift PPM       max hw clock drift, ppm (default 50; one ring only)\n"
-         "  --checkpoint-every N    passive checkpoint cadence, requests (default 5; one ring only)\n"
-         "  --drift D               none | mean | reference (drift compensation; one ring only)\n"
-         "  --mean-delay US         mean-delay compensation constant (default 40; one ring only)\n"
-         "  --reference-gain G      reference-bias gain (default 0.1; one ring only)\n"
+         "  --clock-offset US       max initial hw clock offset, us (default 500000)\n"
+         "  --clock-drift PPM       max hw clock drift, ppm (default 50)\n"
+         "  --checkpoint-every N    passive checkpoint cadence, requests (default 5)\n"
+         "  --drift D               none | mean | reference (drift compensation)\n"
+         "  --mean-delay US         mean-delay compensation constant (default 40)\n"
+         "  --reference-gain G      reference-bias gain (default 0.1)\n"
          "  --crash R@T             crash replica R (of ring 0) at time T (e.g. 2@100ms, 0@1s)\n"
          "  --recover R@T           recover replica R (of ring 0) at time T\n"
+         "  --chaos N               KV crash fuzz (needs --kv, one ring): each of --invocations\n"
+         "                          steps thinks 1-10x --think, then rolls 0..N-1: 0 crashes\n"
+         "                          a replica, 1 restarts one, else one open-loop request\n"
          "  --shards N              request-processing shards per replica (default 1)\n"
          "  --rings N               Totem rings; >1 runs the multi-ring archipelago (default 1)\n"
          "  --topology RxS          shorthand for --rings R --servers S (\"4x6\"; bare \"R\" ok)\n"
@@ -557,10 +667,10 @@ std::string ScenarioResult::json_line() const {
   std::string j;
   appendf(j,
           "{\"seed\": %llu, \"export_digest\": \"%016llx\", \"replies\": %llu, "
-          "\"monotonicity_violations\": %llu, \"oracle_violations\": %llu, "
+          "\"dropped\": %llu, \"monotonicity_violations\": %llu, \"oracle_violations\": %llu, "
           "\"cross_shard\": %llu, \"reads_after_failure\": %llu, \"unrecovered\": %llu, "
           "\"consistent\": %s, \"all_alive\": %s, \"cross_ring_ok\": %s, \"ok\": %s}\n",
-          ull(seed), ull(export_digest), ull(replies), ull(monotonicity_violations),
+          ull(seed), ull(export_digest), ull(replies), ull(dropped), ull(monotonicity_violations),
           ull(oracle_violations), ull(cross_shard), ull(reads_after_failure), ull(unrecovered),
           consistent ? "true" : "false", all_alive ? "true" : "false",
           cross_ring_ok ? "true" : "false", ok() ? "true" : "false");

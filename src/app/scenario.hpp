@@ -11,12 +11,22 @@
 //   * the fault schedule — `at_us` is absolute simulated time, clamped to
 //     the end of start-up; faults hit ring 0;
 //   * the client loops — closed-loop time-server or KV requests per ring;
+//     a run gives up 600 s of simulated time after the last reply;
 //   * the checks — clock monotonicity, replica consistency (first live
 //     replica against every other, passive primaries only, every shard),
 //     oracle and cross-shard violations, the fail-stop tripwire (no
 //     crashed replica ever read its hardware clock), and every live replica
-//     having finished rejoining;
+//     having finished rejoining, and no request left unanswered;
 //   * the report text and the exit verdict (ScenarioResult::ok()).
+//
+// `--chaos N` swaps the fault schedule and the closed-loop client for the
+// KV crash fuzz (one ring, `--kv` only): the engine steps the testbed from
+// outside the event loop, and each of `invocations` steps runs a random
+// think time, then rolls an N-sided die — 0 crashes a replica if a live
+// majority survives it, 1 restarts the lowest-numbered crashed replica,
+// anything else issues one open-loop PUT/GET/DEL/ACQUIRE/RELEASE.  Then it
+// restarts every crashed replica and drains until every request is
+// answered and every replica has rejoined.
 #pragma once
 
 #include <cstdint>
@@ -52,6 +62,8 @@ struct ScenarioSpec {
   double reference_gain = 0.1;
   std::vector<FaultEvent> faults;
   std::uint32_t shards = 1;
+  /// Sides of the chaos die (0 = off; see the top of this file).
+  std::uint32_t chaos = 0;
   /// Island worker threads (doc/PARALLEL.md); any value gives the same
   /// schedule byte for byte.
   unsigned threads = sim::threads_from_env(1);
@@ -84,6 +96,10 @@ struct ScenarioResult {
   /// Equal seeds and specs give equal digests for any thread count.
   std::uint64_t export_digest = 0;
   std::uint64_t replies = 0;
+  /// Requests issued but never answered; must stay 0.
+  std::uint64_t dropped = 0;
+  /// Deliveries the oracle checked (0 when it is off, CTS_ORACLE=off).
+  std::uint64_t oracle_checks = 0;
   std::uint64_t oracle_violations = 0;
   std::uint64_t cross_shard = 0;
   std::uint64_t monotonicity_violations = 0;
@@ -102,7 +118,8 @@ struct ScenarioResult {
 
   [[nodiscard]] bool ok() const {
     return monotonicity_violations == 0 && consistent && oracle_violations == 0 &&
-           cross_shard == 0 && reads_after_failure == 0 && unrecovered == 0 && cross_ring_ok;
+           cross_shard == 0 && reads_after_failure == 0 && unrecovered == 0 && dropped == 0 &&
+           cross_ring_ok;
   }
   /// One JSON object on one line (with '\n'), as printed per seed by a
   /// multi-seed `ctsim` run.

@@ -37,8 +37,7 @@ bool export_merged_files(const std::vector<Recorder*>& islands,
                          const std::string& metrics_path, const std::string& trace_path);
 
 /// The multi-island analogue of export_from_env (recorder.hpp): honors
-/// CTS_OBS_DIR / CTS_METRICS_JSON / CTS_TRACE_JSONL, writing the *merged*
-/// documents.  Returns the number of files written; failed writes warn.
+/// CTS_OBS_DIR, writing the *merged* documents.  Returns the number of files written; failed writes warn.
 int export_merged_from_env(const std::vector<Recorder*>& islands, const std::string& label);
 
 }  // namespace cts::obs

@@ -24,32 +24,24 @@ std::string Recorder::summary() {
 
 namespace {
 
-/// The variable parser behind export_from_env and export_merged_from_env:
-/// calls `write_metrics` / `write_trace` with each path the variables
-/// request for `label`.  Returns the number of files written.
+/// The CTS_OBS_DIR parser behind export_from_env and export_merged_from_env:
+/// calls `write_metrics` / `write_trace` with `<dir>/<label>.metrics.json`
+/// and `<dir>/<label>.trace.jsonl`.  Returns the number of files written.
 template <typename WriteMetrics, typename WriteTrace>
-int export_to_env_paths(const std::string& label, WriteMetrics write_metrics,
-                        WriteTrace write_trace) {
+int export_to_obs_dir(const std::string& label, WriteMetrics write_metrics,
+                      WriteTrace write_trace) {
+  const char* dir = std::getenv("CTS_OBS_DIR");
+  if (dir == nullptr || *dir == '\0') return 0;
+  const std::string base = std::string(dir) + "/" + label;
+  // The variable is an explicit request to export, so a failed write
+  // (typically a missing directory) warns instead of silently skipping.
   int written = 0;
-  auto emit = [&](const std::string& metrics_path, const std::string& trace_path) {
-    // The variables are an explicit request to export, so a failed write
-    // (typically a missing directory) warns instead of silently skipping.
-    if (!metrics_path.empty()) {
-      if (write_metrics(metrics_path)) ++written;
-      else std::fprintf(stderr, "warning: could not write metrics to %s\n", metrics_path.c_str());
-    }
-    if (!trace_path.empty()) {
-      if (write_trace(trace_path)) ++written;
-      else std::fprintf(stderr, "warning: could not write trace to %s\n", trace_path.c_str());
-    }
+  auto emit = [&](auto& write, const std::string& path, const char* what) {
+    if (write(path)) ++written;
+    else std::fprintf(stderr, "warning: could not write %s to %s\n", what, path.c_str());
   };
-  if (const char* dir = std::getenv("CTS_OBS_DIR"); dir && *dir) {
-    const std::string base = std::string(dir) + "/" + label;
-    emit(base + ".metrics.json", base + ".trace.jsonl");
-  }
-  const char* mj = std::getenv("CTS_METRICS_JSON");
-  const char* tj = std::getenv("CTS_TRACE_JSONL");
-  emit(mj ? mj : "", tj ? tj : "");
+  emit(write_metrics, base + ".metrics.json", "metrics");
+  emit(write_trace, base + ".trace.jsonl", "trace");
   return written;
 }
 
@@ -57,14 +49,14 @@ int export_to_env_paths(const std::string& label, WriteMetrics write_metrics,
 
 int export_from_env(Recorder& rec, const std::string& label) {
   rec.sync_sim_stats();
-  return export_to_env_paths(
+  return export_to_obs_dir(
       label, [&](const std::string& path) { return rec.metrics().write_json(path); },
       [&](const std::string& path) { return rec.trace().write_jsonl(path); });
 }
 
 // Declared in obs/merge.hpp; defined here to share the parser.
 int export_merged_from_env(const std::vector<Recorder*>& islands, const std::string& label) {
-  return export_to_env_paths(
+  return export_to_obs_dir(
       label, [&](const std::string& path) { return export_merged_files(islands, path, ""); },
       [&](const std::string& path) { return export_merged_files(islands, "", path); });
 }

@@ -79,14 +79,10 @@ class Recorder {
   std::int64_t* sim_queue_depth_ = nullptr;
 };
 
-/// Honor the observability environment variables:
-///   CTS_OBS_DIR=<dir>        — write <dir>/<label>.metrics.json and
-///                              <dir>/<label>.trace.jsonl
-///   CTS_METRICS_JSON=<path>  — write the metrics registry to <path>
-///   CTS_TRACE_JSONL=<path>   — write the trace to <path>
-/// Exact-path variables are meant for single-run tools; multi-run benches
-/// pass a distinct label per run and set CTS_OBS_DIR.  Returns the number
-/// of files written (0 when no variable is set).  Non-const: syncs the
+/// Honor the observability environment variable CTS_OBS_DIR=<dir>: write
+/// <dir>/<label>.metrics.json and <dir>/<label>.trace.jsonl.  Multi-run
+/// benches pass a distinct label per run.  Returns the number of files
+/// written (0 when the variable is unset).  Non-const: syncs the
 /// simulator's own stats into the registry before writing.
 int export_from_env(Recorder& rec, const std::string& label);
 

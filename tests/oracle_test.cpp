@@ -8,17 +8,16 @@
 //   2. Negative controls: legal histories (including restarts, which
 //      legitimately rewind cursors and round numbers) produce zero
 //      violations.
-//   3. End-to-end: a randomized crash/restart fuzz over the full Testbed
-//      stack with the oracle live on every delivery, and the sending-
-//      representative crash handoff across groups (paper Section 5).
+//   3. End-to-end: a randomized crash/restart fuzz over the full stack
+//      (app/scenario.hpp) with the oracle live on every delivery, and the
+//      sending-representative crash handoff across groups (paper Section 5).
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "app/kv_store.hpp"
-#include "app/testbed.hpp"
+#include "app/scenario.hpp"
 #include "clock/physical_clock.hpp"
 #include "cts/consistent_time_service.hpp"
 #include "cts/multigroup.hpp"
@@ -304,72 +303,25 @@ struct OracleFuzzParam {
 
 class OracleCrashFuzz : public ::testing::TestWithParam<OracleFuzzParam> {};
 
-// The Testbed's default oracle aborts on the first violation, so merely
-// finishing is already a verdict; the explicit zero-violation assert below
-// documents the invariant and catches an oracle that was never wired.
+// The scenario engine's chaos mode (the KV crash fuzz of
+// kv_fuzz_test.cpp, 80 steps) over a lossy network.  The Testbed's default
+// oracle aborts on the first violation, so merely finishing is already a
+// verdict; ok() also requires zero violations, every request answered and
+// every replica rejoined, and oracle_checks catches an oracle that was
+// never wired.
 TEST_P(OracleCrashFuzz, RandomizedFaultScheduleStaysClean) {
   const auto p = GetParam();
-  TestbedConfig cfg;
-  cfg.servers = 3;
-  cfg.seed = p.seed;
-  cfg.factory = kv_store_factory();
-  cfg.shards = p.shards;
-  if (p.shards > 1) cfg.shard_fn = kv_shard_of;
-  cfg.net.loss_probability = p.loss;
-  Testbed tb(cfg);
-  tb.start();
-  auto* orc = tb.recorder().oracle();
-  ASSERT_NE(orc, nullptr) << "Testbed should enable the oracle by default";
-
-  Rng fuzz(p.seed * 31 + 7);
-  int issued = 0, answered = 0;
-  bool down[3] = {false, false, false};
-  bool recovering[3] = {false, false, false};
-  for (int step = 0; step < 80; ++step) {
-    tb.sim().run_for(fuzz.range(500, 5'000));
-    const auto dice = fuzz.below(10);
-    if (dice == 0) {
-      int live = 0;
-      for (bool d : down) live += !d;
-      const auto victim = fuzz.below(3);
-      if (live > 2 && !down[victim] && !recovering[victim]) {
-        down[victim] = true;
-        tb.crash_server(static_cast<std::uint32_t>(victim));
-      }
-    } else if (dice == 1) {
-      for (std::uint32_t v = 0; v < 3; ++v) {
-        if (down[v] && !recovering[v]) {
-          recovering[v] = true;
-          tb.restart_server(v, [&, v] {
-            down[v] = false;
-            recovering[v] = false;
-          });
-          break;
-        }
-      }
-    } else {
-      ++issued;
-      tb.client().invoke(kv_put("k" + std::to_string(fuzz.below(8)), "v", 0),
-                         [&](const Bytes&) { ++answered; });
-    }
-  }
-  for (std::uint32_t v = 0; v < 3; ++v) {
-    if (down[v] && !recovering[v]) {
-      recovering[v] = true;
-      tb.restart_server(v, [&, v] {
-        down[v] = false;
-        recovering[v] = false;
-      });
-    }
-  }
-  const Micros deadline = tb.sim().now() + 600'000'000;
-  while (tb.sim().now() < deadline && answered < issued) {
-    tb.sim().run_until(tb.sim().now() + 100'000);
-  }
-
-  EXPECT_GT(answered, 0) << "seed " << p.seed << ": no progress under the oracle";
-  EXPECT_GT(orc->checks_run(), 0u);
-  EXPECT_EQ(orc->violations(), 0u) << "seed " << p.seed;
+  ScenarioSpec spec;
+  spec.kv = true;
+  spec.chaos = 12;
+  spec.invocations = 80;
+  spec.seed = p.seed;
+  spec.loss = p.loss;
+  spec.shards = p.shards;
+  const ScenarioResult r = run_scenario(spec);
+  EXPECT_TRUE(r.ok()) << r.report;
+  EXPECT_GT(r.replies, 0u) << "no progress under the oracle";
+  EXPECT_GT(r.oracle_checks, 0u) << "the oracle never ran";
 }
 
 INSTANTIATE_TEST_SUITE_P(

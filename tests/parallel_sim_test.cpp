@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -220,7 +221,7 @@ ArchRun arch_run(std::uint64_t seed, unsigned threads, bool faults, bool kv = fa
   cfg.seed = seed;
   cfg.threads = threads;
   cfg.link_latency_us = 800;
-  if (faults) cfg.net.loss_probability = 0.01;
+  if (faults) cfg.ring.net.loss_probability = 0.01;
   if (kv) {
     cfg.app = [](const app::ShardMap& map, std::size_t ring) {
       return app::kv_store_factory({.shard_map = &map, .ring = ring});
@@ -331,6 +332,21 @@ TEST(ArchipelagoDeterminism, CrossRingCausalityUnderParallelRun) {
   EXPECT_GT(seen_at_0.front(), seen_at_1.front());
   EXPECT_GT(ar.stamped_deliveries(0), 0u);
   EXPECT_GT(ar.stamped_deliveries(1), 0u);
+}
+
+// The Archipelago sets these per ring from topo, seed, oracle and app, so
+// a value in the ring template would be dropped: it is refused instead.
+TEST(ArchipelagoConfigTest, PerRingFieldsOfTheRingTemplateAreRefused) {
+  auto build = [](auto set) {
+    app::ArchipelagoConfig cfg;
+    set(cfg.ring);
+    app::Archipelago ar(cfg);
+  };
+  EXPECT_NO_THROW(build([](app::TestbedConfig& t) { t.net.loss_probability = 0.01; }));
+  EXPECT_THROW(build([](app::TestbedConfig& t) { t.seed = 9; }), std::invalid_argument);
+  EXPECT_THROW(build([](app::TestbedConfig& t) { t.oracle = false; }), std::invalid_argument);
+  EXPECT_THROW(build([](app::TestbedConfig& t) { t.factory = app::kv_store_factory(); }),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 // regressions for bugs its shared checks and sweeps turned up.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <vector>
 
 #include "app/scenario.hpp"
@@ -36,27 +35,40 @@ TEST(ScenarioArgsTest, RejectsMalformedAndContradictoryArguments) {
   EXPECT_EQ(parse({"--no-such-flag"}).error, "usage");
   EXPECT_FALSE(parse({"--crash", "3@1ms"}).error.empty());
   EXPECT_FALSE(parse({"--rings", "2", "--durable"}).error.empty());
-  // The multi-ring archipelago does not forward these, so they are refused
-  // rather than silently ignored, in either order and at any value.
+  EXPECT_FALSE(parse({"--seed", "1-2", "--trace-jsonl", "t.jsonl"}).error.empty());
+  EXPECT_TRUE(parse({"--seed", "1-2"}).error.empty());
+}
+
+// Every ring of a multi-ring run takes the clock and checkpoint flags.
+TEST(ScenarioArgsTest, ClockAndCheckpointFlagsApplyToEveryRing) {
   for (const char* flag : {"--clock-offset", "--clock-drift", "--mean-delay", "--reference-gain",
                            "--checkpoint-every"}) {
-    EXPECT_FALSE(parse({"--rings", "2", flag, "5"}).error.empty()) << flag;
-    EXPECT_FALSE(parse({flag, "5", "--topology", "4x3"}).error.empty()) << flag;
-    EXPECT_TRUE(parse({"--rings", "1", flag, "5"}).error.empty()) << flag;
+    EXPECT_TRUE(parse({"--rings", "2", flag, "5"}).error.empty()) << flag;
+    EXPECT_TRUE(parse({flag, "5", "--topology", "4x3"}).error.empty()) << flag;
   }
-  EXPECT_FALSE(parse({"--rings", "2", "--drift", "mean"}).error.empty());
-  EXPECT_FALSE(parse({"--topology", "4x3", "--drift", "none"}).error.empty());
-  EXPECT_TRUE(parse({"--topology", "1x3", "--drift", "reference"}).error.empty());
-  EXPECT_FALSE(parse({"--seed", "1-2", "--trace-jsonl", "t.jsonl"}).error.empty());
-  // The export path variables name one file, which every seed of a sweep
-  // would write at the same time.
-  for (const char* var : {"CTS_METRICS_JSON", "CTS_TRACE_JSONL"}) {
-    ::setenv(var, "out.json", 1);
-    EXPECT_FALSE(parse({"--seed", "1-2"}).error.empty()) << var;
-    EXPECT_TRUE(parse({"--seed", "1"}).error.empty()) << var;
-    ::unsetenv(var);
-  }
-  EXPECT_TRUE(parse({"--seed", "1-2"}).error.empty());
+  EXPECT_TRUE(parse({"--rings", "2", "--drift", "mean"}).error.empty());
+  EXPECT_TRUE(parse({"--topology", "4x3", "--drift", "reference"}).error.empty());
+
+  auto digest = [](std::vector<const char*> argv) {
+    const ScenarioArgs a = parse(std::move(argv));
+    EXPECT_TRUE(a.error.empty()) << a.error;
+    const ScenarioResult r = run_scenario(a.spec);
+    EXPECT_TRUE(r.ok()) << r.report;
+    return r.export_digest;
+  };
+  EXPECT_NE(digest({"--topology", "2x3", "--kv", "--invocations", "100", "--clock-offset", "0"}),
+            digest({"--topology", "2x3", "--kv", "--invocations", "100"}));
+}
+
+TEST(ScenarioArgsTest, ChaosNeedsKvOnOneRingWithoutAFaultSchedule) {
+  const ScenarioArgs a = parse({"--kv", "--chaos", "12", "--seed", "300-302"});
+  EXPECT_TRUE(a.error.empty()) << a.error;
+  EXPECT_EQ(a.spec.chaos, 12u);
+  EXPECT_FALSE(parse({"--chaos", "12"}).error.empty());
+  EXPECT_FALSE(parse({"--kv", "--chaos", "12", "--rings", "2"}).error.empty());
+  EXPECT_FALSE(parse({"--kv", "--chaos", "12", "--crash", "0@1ms"}).error.empty());
+  EXPECT_FALSE(parse({"--kv", "--recover", "0@1ms", "--chaos", "12"}).error.empty());
+  EXPECT_EQ(parse({"--kv", "--chaos"}).error, "usage");
 }
 
 TEST(ScenarioArgsTest, FaultTimesTakeUnits) {
