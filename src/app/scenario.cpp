@@ -1,10 +1,14 @@
 #include "app/scenario.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 #include <exception>
 #include <memory>
+#include <ranges>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -58,20 +62,46 @@ const char* style_name(ReplicationStyle s) {
                                               : "passive";
 }
 
-Micros parse_time(const std::string& s) {
+/// A time of at least 0: a number and a unit, `us`, `ms` or `s` (bare = us).
+Micros parse_time(std::string_view text) {
+  const std::string s(text);
   std::size_t end = 0;
   const double v = std::stod(s, &end);
-  const std::string unit = s.substr(end);
-  if (unit == "s") return static_cast<Micros>(v * 1e6);
-  if (unit == "ms") return static_cast<Micros>(v * 1e3);
-  return static_cast<Micros>(v);  // us
+  const std::string_view unit = text.substr(end);
+  const double us = v * (unit == "s" ? 1e6 : unit == "ms" ? 1e3 : 1.0);
+  if ((!unit.empty() && unit != "us" && unit != "ms" && unit != "s") || !(us >= 0 && us < 1e15)) {
+    throw std::invalid_argument(s);
+  }
+  return static_cast<Micros>(std::llround(us));
 }
 
-FaultEvent parse_fault(FaultEvent::Kind kind, const std::string& spec) {
-  const auto at = spec.find('@');
-  if (at == std::string::npos) throw std::invalid_argument(spec);
-  return FaultEvent{kind, static_cast<std::uint32_t>(std::stoul(spec.substr(0, at))),
-                    parse_time(spec.substr(at + 1))};
+/// The shortest exact spelling parse_time() reads back.
+std::string time_text(Micros t) {
+  if (t != 0 && t % 1'000'000 == 0) return std::to_string(t / 1'000'000) + "s";
+  if (t != 0 && t % 1'000 == 0) return std::to_string(t / 1'000) + "ms";
+  return std::to_string(t) + "us";
+}
+
+/// A plain decimal count (digits only) of at most `max`.
+std::uint64_t parse_count(std::string_view s, std::uint64_t max) {
+  std::uint64_t v = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc{} || end != s.data() + s.size() || v > max) {
+    throw std::invalid_argument(std::string(s));
+  }
+  return v;
+}
+
+constexpr std::string_view kFaultKinds[] = {"crash", "recover", "partition", "heal", "step"};
+
+/// `f` without its trigger: `crash:1`, `heal`, `step:0-5s`.
+std::string kind_text(const FaultEvent& f) {
+  std::string s(kFaultKinds[static_cast<std::size_t>(f.kind)]);
+  if (f.kind != FaultEvent::Kind::kHeal) s += ":" + std::to_string(f.replica);
+  if (f.kind == FaultEvent::Kind::kStep) {
+    s += (f.step_us < 0 ? "-" : "+") + time_text(std::abs(f.step_us));
+  }
+  return s;
 }
 
 /// `N`, `A-B` (inclusive), or a comma-separated list of either.
@@ -158,9 +188,11 @@ sim::Task kv_loop_sharded(Archipelago& ar, std::size_t r, const ScenarioSpec& o,
 
 /// Run `clock` (a Simulator or an Archipelago) in 1 s slices until every
 /// client loop has its `invocations` replies, giving up after
-/// kReplyPatienceUs without a new reply, then a 2 s tail.
+/// kReplyPatienceUs without a new reply, then until `last_fault` (the last
+/// timed fault has fired), then a 2 s tail.
 template <typename Clock>
-void drain_clients(Clock& clock, std::span<const RingLoad> load, int invocations) {
+void drain_clients(Clock& clock, std::span<const RingLoad> load, int invocations,
+                   Micros last_fault) {
   auto replies = [&] {
     std::uint64_t n = 0;
     for (const RingLoad& l : load) n += l.replies;
@@ -177,24 +209,103 @@ void drain_clients(Clock& clock, std::span<const RingLoad> load, int invocations
       break;
     }
   }
+  if (clock.now() < last_fault) clock.run_until(last_fault);
   clock.run_for(2'000'000);
 }
+
+// --- Faults ------------------------------------------------------------------
+
+/// Applies faults to ring 0 (`tb`; with several rings, `ar`'s ring 0) and
+/// checks fail-stop over every crash interval: from its crash until its
+/// restart or the end of the run, a crashed node's Totem counters must not
+/// move.
+class FaultInjector {
+ public:
+  FaultInjector(Testbed& tb, Archipelago* ar, const ScenarioSpec& o, std::string& out)
+      : tb_(tb), ar_(ar), o_(o), out_(out), at_crash_(tb.server_count()) {}
+
+  /// The one path for every fault: the spec's timed and event-indexed
+  /// faults and the chaos driver's crashes and restarts.
+  void apply(const FaultEvent& f) {
+    if (o_.verbose) appendf(out_, "[%lld us] %s\n", ll(tb_.sim().now()), kind_text(f).c_str());
+    const std::uint32_t node = tb_.server_node(f.replica);
+    switch (f.kind) {
+      case FaultEvent::Kind::kCrash:
+        if (ar_ != nullptr) ar_->crash_server(0, f.replica);
+        else tb_.crash_server(f.replica);
+        if (!at_crash_[f.replica]) at_crash_[f.replica] = tb_.totem_of(node).stats();
+        break;
+      case FaultEvent::Kind::kRecover:
+        check_frozen(f.replica);
+        if (ar_ != nullptr) ar_->restart_server(0, f.replica);
+        else tb_.restart_server(f.replica);
+        break;
+      case FaultEvent::Kind::kPartition: tb_.net().partition({{NodeId{node}}}); break;
+      case FaultEvent::Kind::kHeal: tb_.net().heal(); break;
+      case FaultEvent::Kind::kStep: tb_.clock_of(node).step(f.step_us); break;
+    }
+  }
+
+  /// Schedule the timed faults; one timed before start-up finished fires
+  /// right away.  Returns the time the last one fires (0 without any).
+  Micros schedule_timed() {
+    Micros last = 0;
+    for (const FaultEvent& f : o_.faults) {
+      if (f.trigger != FaultEvent::Trigger::kTime) continue;
+      const Micros at = std::max(tb_.sim().now(), f.at);
+      last = std::max(last, at);
+      // On the simulator, not a node's scope: a crash must not die with the
+      // node it crashes.
+      tb_.sim().at(at, [this, f] { apply(f); });
+    }
+    return last;
+  }
+
+  /// Apply the event-indexed faults in index order, stepping ring 0's
+  /// simulator up to each.  Called right after the client loop starts.
+  void step_to_indexed() {
+    std::vector<FaultEvent> due = o_.faults;
+    std::erase_if(due, [](const FaultEvent& f) { return f.trigger == FaultEvent::Trigger::kTime; });
+    std::ranges::stable_sort(due, {}, &FaultEvent::at);
+    for (std::int64_t stepped = 0; const FaultEvent& f : due) {
+      while (stepped < f.at && tb_.sim().step()) ++stepped;
+      apply(f);
+    }
+  }
+
+  /// Close the crash intervals still open; returns how many intervals saw
+  /// the dead node's Totem counters move.
+  std::uint64_t finish() {
+    for (std::uint32_t s = 0; s < at_crash_.size(); ++s) check_frozen(s);
+    return moved_;
+  }
+
+ private:
+  void check_frozen(std::uint32_t s) {
+    if (!at_crash_[s]) return;
+    moved_ += tb_.totem_of(tb_.server_node(s)).stats() != *at_crash_[s];
+    at_crash_[s].reset();
+  }
+
+  Testbed& tb_;
+  Archipelago* ar_;
+  const ScenarioSpec& o_;
+  std::string& out_;
+  std::vector<std::optional<totem::TotemStats>> at_crash_;  // per open crash interval
+  std::uint64_t moved_ = 0;
+};
 
 /// The KV crash fuzz behind `--chaos` (scenario.hpp), stepped from outside
 /// the event loop.  Every draw comes from one Rng in a fixed order, so a
 /// seed replays its whole schedule.  Replies land in `load`.
-void run_chaos(Testbed& tb, const ScenarioSpec& o, RingLoad& load, std::string& out) {
-  enum : std::uint8_t { kUp, kDown, kRejoining };
+void run_chaos(Testbed& tb, const ScenarioSpec& o, RingLoad& load, FaultInjector& faults) {
   Rng rng(o.seed * 7 + 1);
   const auto n = static_cast<std::uint32_t>(tb.server_count());
-  std::vector<std::uint8_t> state(n, kUp);
-  auto narrate = [&](const char* what, std::uint32_t v) {
-    if (o.verbose) appendf(out, "[%lld us] %s replica %u\n", ll(tb.sim().now()), what, v);
-  };
-  auto restart = [&](std::uint32_t v) {
-    narrate("recover", v);
-    state[v] = kRejoining;
-    tb.restart_server(v, [&state, v] { state[v] = kUp; });
+  auto alive = [&](std::uint32_t v) { return tb.clock_of(tb.server_node(v)).alive(); };
+  // Up: alive and done rejoining.
+  auto up = [&](std::uint32_t v) { return alive(v) && tb.server(v).recovered(); };
+  auto ups = [&] {
+    return static_cast<std::uint32_t>(std::ranges::count_if(std::views::iota(0u, n), up));
   };
   auto issue = [&] {
     const std::string key = "k" + std::to_string(rng.below(10));
@@ -216,7 +327,6 @@ void run_chaos(Testbed& tb, const ScenarioSpec& o, RingLoad& load, std::string& 
       ++load.replies;
     });
   };
-  auto up = [&] { return static_cast<std::uint32_t>(std::count(state.begin(), state.end(), kUp)); };
 
   for (int step = 0; step < o.invocations; ++step) {
     tb.sim().run_for(rng.range(o.think_us, 10 * o.think_us));
@@ -224,17 +334,14 @@ void run_chaos(Testbed& tb, const ScenarioSpec& o, RingLoad& load, std::string& 
     if (roll == 0) {
       // Crash only if a majority of the universe (the servers and the
       // client) stays up: with three servers, all three must be up.
-      if (2 * up() > n + 1) {
+      if (2 * ups() > n + 1) {
         const auto v = static_cast<std::uint32_t>(rng.below(n));
-        if (state[v] == kUp) {
-          narrate("crash", v);
-          state[v] = kDown;
-          tb.crash_server(v);
-        }
+        if (up(v)) faults.apply({FaultEvent::Kind::kCrash, v});
       }
     } else if (roll == 1) {
-      const auto v = std::find(state.begin(), state.end(), kDown);
-      if (v != state.end()) restart(static_cast<std::uint32_t>(v - state.begin()));
+      std::uint32_t v = 0;
+      while (v < n && alive(v)) ++v;
+      if (v < n) faults.apply({FaultEvent::Kind::kRecover, v});
     } else {
       issue();
     }
@@ -243,25 +350,14 @@ void run_chaos(Testbed& tb, const ScenarioSpec& o, RingLoad& load, std::string& 
   // Quiesce: restart every crashed replica, then drain until every request
   // is answered and every replica has rejoined.
   for (std::uint32_t v = 0; v < n; ++v) {
-    if (state[v] == kDown) restart(v);
+    if (!alive(v)) faults.apply({FaultEvent::Kind::kRecover, v});
   }
   const Micros give_up = tb.sim().now() + kReplyPatienceUs;
   while (tb.sim().now() < give_up) {
     tb.sim().run_until(tb.sim().now() + 100'000);
-    if (load.replies == load.issued && up() == n) break;
+    if (load.replies == load.issued && ups() == n) break;
   }
   tb.sim().run_for(5'000'000);
-}
-
-/// Schedule the spec's faults on `sim`.  Times are absolute; a fault timed
-/// before start-up finished fires right away.  `apply` must outlive the run.
-template <typename Apply>
-void schedule_faults(sim::Simulator& sim, const ScenarioSpec& o, Apply& apply) {
-  for (const FaultEvent& f : o.faults) {
-    // detlint:allow(scoped-timer): the fault injector is the harness, not a
-    // node; a crash must not die with the node it crashes
-    sim.at(std::max(sim.now(), f.at_us), [&apply, f] { apply(f); });
-  }
 }
 
 // --- Checks ------------------------------------------------------------------
@@ -270,6 +366,28 @@ std::uint64_t monotonicity_violations(const std::vector<Micros>& stamps) {
   std::uint64_t v = 0;
   for (std::size_t i = 1; i < stamps.size(); ++i) v += (stamps[i] <= stamps[i - 1]);
   return v;
+}
+
+Micros max_clock_step(const std::vector<Micros>& stamps) {
+  Micros m = 0;
+  for (std::size_t i = 1; i < stamps.size(); ++i) m = std::max(m, stamps[i] - stamps[i - 1]);
+  return m;
+}
+
+/// The report lines of the liveness and fail-stop checks that failed.
+void append_failures(std::string& out, const ScenarioResult& res) {
+  if (res.unrecovered) appendf(out, "replicas still rejoining: %llu\n", ull(res.unrecovered));
+  if (res.dropped) appendf(out, "dropped replies: %llu\n", ull(res.dropped));
+  if (res.crashed_node_activity) {
+    appendf(out, "crashed nodes active while down: %llu\n", ull(res.crashed_node_activity));
+  }
+}
+
+/// The spec's faults as `--fault` arguments, for the report header.
+std::string fault_args(const ScenarioSpec& o) {
+  std::string s;
+  for (const FaultEvent& f : o.faults) s += " --fault " + to_string(f);
+  return s;
 }
 
 /// Every live, recovered replica that answers clients (all of them for
@@ -348,20 +466,6 @@ TestbedConfig ring_config(const ScenarioSpec& o) {
   return cfg;
 }
 
-/// With `--drift reference`, a reference clock on `tb`'s simulator, seeded
-/// from the ring's seed, that every server reads; null otherwise.  Set
-/// before start-up: a restarted replica runs without it.
-std::unique_ptr<clock::ReferenceTimeSource> attach_reference(Testbed& tb,
-                                                             const ScenarioSpec& o) {
-  if (o.drift != ccs::DriftCompensation::kReferenceBias) return nullptr;
-  auto ref = std::make_unique<clock::ReferenceTimeSource>(tb.sim(),
-                                                          Rng(tb.config().seed * 31 + 5), 200);
-  for (std::uint32_t s = 0; s < tb.server_count(); ++s) {
-    tb.server(s).time_service().set_reference(ref.get());
-  }
-  return ref;
-}
-
 // --- One ring: a Testbed -----------------------------------------------------
 
 ScenarioResult run_testbed(const ScenarioSpec& o) {
@@ -370,46 +474,41 @@ ScenarioResult run_testbed(const ScenarioSpec& o) {
   cfg.seed = o.seed;
   if (o.kv) cfg.factory = kv_store_factory();
   Testbed tb(std::move(cfg));
-  const auto ref = attach_reference(tb, o);
   tb.start();
 
   ScenarioResult res;
   res.seed = o.seed;
   std::string& out = res.report;
-  auto apply = [&tb, &o, &out](const FaultEvent& f) {
-    const bool crash = f.kind == FaultEvent::Kind::kCrash;
-    if (o.verbose) {
-      appendf(out, "[%lld us] %s replica %u\n", ll(f.at_us), crash ? "crash" : "recover",
-              f.replica);
-    }
-    if (crash) tb.crash_server(f.replica);
-    else tb.restart_server(f.replica);
-  };
-  schedule_faults(tb.sim(), o, apply);
+  FaultInjector faults(tb, nullptr, o, out);
+  const Micros last_fault = faults.schedule_timed();
 
   RingLoad load;
   if (o.chaos > 0) {
-    run_chaos(tb, o, load, out);
+    run_chaos(tb, o, load, faults);
   } else {
     client_loop(tb, o, load);
-    drain_clients(tb.sim(), {&load, 1}, o.invocations);
+    faults.step_to_indexed();
+    drain_clients(tb.sim(), {&load, 1}, o.invocations, last_fault);
   }
 
   res.replies = load.replies;
   res.dropped = load.issued - load.replies;
   res.monotonicity_violations = monotonicity_violations(load.stamps);
+  res.max_clock_step_us = max_clock_step(load.stamps);
   res.consistent = replicas_consistent(tb, o);
+  res.crashed_node_activity = faults.finish();
   tally_ring(tb, res);
   res.export_digest = export_digest({&tb.recorder()});
 
-  appendf(out, "# ctsim  servers=%zu style=%s invocations=%d seed=%llu loss=%.3f\n\n", o.servers,
-          style_name(o.style), o.invocations, ull(o.seed), o.loss);
+  appendf(out, "# ctsim  servers=%zu style=%s invocations=%d seed=%llu loss=%.3f%s\n\n", o.servers,
+          style_name(o.style), o.invocations, ull(o.seed), o.loss, fault_args(o).c_str());
   const Histogram& lat = load.lat;
   appendf(out, "end-to-end latency: mean=%.1f us  p50=%lld  p99=%lld  max=%lld\n", lat.mean(),
           ll(lat.percentile(0.5)), ll(lat.percentile(0.99)), ll(lat.max()));
   if (!o.kv) {
-    appendf(out, "replies: %zu of %d;  monotonicity violations: %llu\n", load.stamps.size(),
-            o.invocations, ull(res.monotonicity_violations));
+    appendf(out, "replies: %zu of %d;  monotonicity violations: %llu;  largest step: %lld us\n",
+            load.stamps.size(), o.invocations, ull(res.monotonicity_violations),
+            ll(res.max_clock_step_us));
   }
   std::uint64_t ccs_wire = 0, rounds = 0;
   for (std::uint32_t s = 0; s < tb.server_count(); ++s) {
@@ -419,8 +518,7 @@ ScenarioResult run_testbed(const ScenarioSpec& o) {
   appendf(out, "CCS rounds: %llu;  CCS messages on the wire: %llu (%.3f per round)\n", ull(rounds),
           ull(ccs_wire), rounds ? static_cast<double>(ccs_wire) / static_cast<double>(rounds) : 0.0);
   appendf(out, "replica state consistent: %s\n", res.consistent ? "yes" : "NO");
-  if (res.unrecovered) appendf(out, "replicas still rejoining: %llu\n", ull(res.unrecovered));
-  if (res.dropped) appendf(out, "dropped replies: %llu\n", ull(res.dropped));
+  append_failures(out, res);
   out += "\nper-replica detail:\n";
   for (std::uint32_t s = 0; s < tb.server_count(); ++s) {
     const auto& st = tb.server(s).stats();
@@ -465,15 +563,13 @@ ScenarioResult run_archipelago(const ScenarioSpec& o) {
     };
   }
   Archipelago ar(acfg);
-  std::vector<std::unique_ptr<clock::ReferenceTimeSource>> refs;
-  for (std::size_t r = 0; r < o.rings; ++r) refs.push_back(attach_reference(ar.ring(r), o));
   ar.start();
 
-  auto apply = [&ar](const FaultEvent& f) {
-    if (f.kind == FaultEvent::Kind::kCrash) ar.crash_server(0, f.replica);
-    else ar.restart_server(0, f.replica);
-  };
-  schedule_faults(ar.ring(0).sim(), o, apply);
+  ScenarioResult res;
+  res.seed = o.seed;
+  std::string& out = res.report;
+  FaultInjector faults(ar.ring(0), &ar, o, out);
+  const Micros last_fault = faults.schedule_timed();
 
   std::vector<RingLoad> load(o.rings);
   for (std::size_t r = 0; r < o.rings; ++r) {
@@ -491,15 +587,14 @@ ScenarioResult run_archipelago(const ScenarioSpec& o) {
     }
   }
 
-  drain_clients(ar, load, o.invocations);
+  drain_clients(ar, load, o.invocations, last_fault);
+  res.crashed_node_activity = faults.finish();
 
-  ScenarioResult res;
-  res.seed = o.seed;
-  std::string& out = res.report;
   appendf(out,
           "# ctsim  rings=%zu servers=%zu style=%s invocations=%d seed=%llu loss=%.3f "
-          "threads=%u\n\n",
-          o.rings, o.servers, style_name(o.style), o.invocations, ull(o.seed), o.loss, o.threads);
+          "threads=%u%s\n\n",
+          o.rings, o.servers, style_name(o.style), o.invocations, ull(o.seed), o.loss, o.threads,
+          fault_args(o).c_str());
   std::uint64_t xring_delivered = 0, forwards = 0;
   for (std::size_t r = 0; r < o.rings; ++r) {
     auto& tb = ar.ring(r);
@@ -508,6 +603,7 @@ ScenarioResult run_archipelago(const ScenarioSpec& o) {
     res.replies += load[r].replies;
     res.dropped += load[r].issued - load[r].replies;
     res.monotonicity_violations += ring_viol;
+    res.max_clock_step_us = std::max(res.max_clock_step_us, max_clock_step(load[r].stamps));
     res.consistent = res.consistent && ring_consistent;
     tally_ring(tb, res);
     xring_delivered += ar.stamped_deliveries(r);
@@ -532,8 +628,7 @@ ScenarioResult run_archipelago(const ScenarioSpec& o) {
           ull(res.cross_shard));
   appendf(out, "total monotonicity violations: %llu;  all rings consistent: %s\n",
           ull(res.monotonicity_violations), res.consistent ? "yes" : "NO");
-  if (res.unrecovered) appendf(out, "replicas still rejoining: %llu\n", ull(res.unrecovered));
-  if (res.dropped) appendf(out, "dropped replies: %llu\n", ull(res.dropped));
+  append_failures(out, res);
 
   // Exports are merged across islands in ring order, so they are
   // byte-stable for any thread count.
@@ -555,6 +650,47 @@ ScenarioResult run_archipelago(const ScenarioSpec& o) {
 }
 
 }  // namespace
+
+std::optional<FaultEvent> parse_fault(std::string_view text) {
+  constexpr auto npos = std::string_view::npos;
+  auto check = [](bool ok) {
+    if (!ok) throw std::invalid_argument("fault");
+  };
+  try {
+    const auto at = text.find('@');
+    check(at != npos);
+    std::string_view what = text.substr(0, at);
+    const std::string_view when = text.substr(at + 1);
+    const auto colon = what.find(':');
+    const auto kind = std::ranges::find(kFaultKinds, what.substr(0, colon));
+    check(kind != std::end(kFaultKinds));
+    FaultEvent f{static_cast<FaultEvent::Kind>(kind - std::begin(kFaultKinds))};
+    if (when.starts_with("ev")) {
+      f.trigger = FaultEvent::Trigger::kEvent;
+      f.at = static_cast<std::int64_t>(parse_count(when.substr(2), INT64_MAX));
+    } else {
+      f.at = parse_time(when);
+    }
+    check((f.kind == FaultEvent::Kind::kHeal) == (colon == npos));
+    if (colon == npos) return f;
+    what.remove_prefix(colon + 1);
+    if (f.kind == FaultEvent::Kind::kStep) {
+      const auto sign = what.find_first_of("+-");
+      check(sign != npos);
+      f.step_us = parse_time(what.substr(sign + 1)) * (what[sign] == '-' ? -1 : 1);
+      what = what.substr(0, sign);
+    }
+    f.replica = static_cast<std::uint32_t>(parse_count(what, UINT32_MAX));
+    return f;
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+}
+
+std::string to_string(const FaultEvent& f) {
+  return kind_text(f) + "@" +
+         (f.trigger == FaultEvent::Trigger::kEvent ? "ev" + std::to_string(f.at) : time_text(f.at));
+}
 
 ScenarioArgs parse_scenario_args(int argc, const char* const* argv) {
   ScenarioArgs args;
@@ -589,8 +725,11 @@ ScenarioArgs parse_scenario_args(int argc, const char* const* argv) {
         else throw std::invalid_argument(v);
       } else if (a == "--mean-delay") o.mean_delay_us = parse_time(need(i));
       else if (a == "--reference-gain") o.reference_gain = std::stod(need(i));
-      else if (a == "--crash") o.faults.push_back(parse_fault(FaultEvent::Kind::kCrash, need(i)));
-      else if (a == "--recover") o.faults.push_back(parse_fault(FaultEvent::Kind::kRecover, need(i)));
+      else if (a == "--fault") {
+        const auto f = parse_fault(need(i));
+        if (!f) throw std::invalid_argument(argv[i]);
+        o.faults.push_back(*f);
+      }
       else if (a == "--shards") o.shards = static_cast<std::uint32_t>(std::stoul(need(i)));
       else if (a == "--chaos") o.chaos = static_cast<std::uint32_t>(std::stoul(need(i)));
       else if (a == "--rings") o.rings = std::stoul(need(i));
@@ -617,12 +756,15 @@ ScenarioArgs parse_scenario_args(int argc, const char* const* argv) {
       args.error = "fault references replica " + std::to_string(f.replica) +
                    " but there are only " + std::to_string(o.servers);
     }
+    if (f.trigger == FaultEvent::Trigger::kEvent && o.rings > 1) {
+      args.error = "--fault KIND@evK takes one ring";
+    }
   }
   if (o.rings > 1 && (o.durable || o.shards > 1)) {
     args.error = "--rings > 1 does not support --durable/--shards";
   }
   if (o.chaos > 0 && (!o.kv || o.rings > 1 || !o.faults.empty())) {
-    args.error = "--chaos needs --kv and one ring, and takes no --crash/--recover";
+    args.error = "--chaos needs --kv and one ring, and takes no --fault";
   }
   // Every seed would write the same export path at once.
   if (args.seeds.size() > 1 && (!o.metrics_json.empty() || !o.trace_jsonl.empty())) {
@@ -645,8 +787,11 @@ const char* scenario_usage() {
          "  --drift D               none | mean | reference (drift compensation)\n"
          "  --mean-delay US         mean-delay compensation constant (default 40)\n"
          "  --reference-gain G      reference-bias gain (default 0.1)\n"
-         "  --crash R@T             crash replica R (of ring 0) at time T (e.g. 2@100ms, 0@1s)\n"
-         "  --recover R@T           recover replica R (of ring 0) at time T\n"
+         "  --fault KIND@TRIGGER    a fault on ring 0 (repeatable).  KIND: crash:R, recover:R,\n"
+         "                          partition:R (cut R off), heal, step:R+D or step:R-D (step\n"
+         "                          R's hardware clock by D).  TRIGGER: a time (100ms, 1.5s,\n"
+         "                          250us) or evK, after the first K simulator events of the\n"
+         "                          client loop (one ring only).  E.g. crash:2@100ms\n"
          "  --chaos N               KV crash fuzz (needs --kv, one ring): each of --invocations\n"
          "                          steps thinks 1-10x --think, then rolls 0..N-1: 0 crashes\n"
          "                          a replica, 1 restarts one, else one open-loop request\n"
@@ -668,10 +813,12 @@ std::string ScenarioResult::json_line() const {
   appendf(j,
           "{\"seed\": %llu, \"export_digest\": \"%016llx\", \"replies\": %llu, "
           "\"dropped\": %llu, \"monotonicity_violations\": %llu, \"oracle_violations\": %llu, "
-          "\"cross_shard\": %llu, \"reads_after_failure\": %llu, \"unrecovered\": %llu, "
-          "\"consistent\": %s, \"all_alive\": %s, \"cross_ring_ok\": %s, \"ok\": %s}\n",
+          "\"cross_shard\": %llu, \"reads_after_failure\": %llu, \"crashed_node_activity\": %llu, "
+          "\"unrecovered\": %llu, \"consistent\": %s, \"all_alive\": %s, \"cross_ring_ok\": %s, "
+          "\"ok\": %s}\n",
           ull(seed), ull(export_digest), ull(replies), ull(dropped), ull(monotonicity_violations),
-          ull(oracle_violations), ull(cross_shard), ull(reads_after_failure), ull(unrecovered),
+          ull(oracle_violations), ull(cross_shard), ull(reads_after_failure),
+          ull(crashed_node_activity), ull(unrecovered),
           consistent ? "true" : "false", all_alive ? "true" : "false",
           cross_ring_ok ? "true" : "false", ok() ? "true" : "false");
   return j;

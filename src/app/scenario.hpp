@@ -8,16 +8,18 @@
 // per-ring seed, so it would change every single-ring schedule.  Everything
 // around that choice is shared:
 //
-//   * the fault schedule — `at_us` is absolute simulated time, clamped to
-//     the end of start-up; faults hit ring 0;
+//   * the fault schedule (FaultEvent) — faults hit ring 0; the drain runs
+//     until the last timed fault has fired;
 //   * the client loops — closed-loop time-server or KV requests per ring;
 //     a run gives up 600 s of simulated time after the last reply;
 //   * the checks — clock monotonicity, replica consistency (first live
 //     replica against every other, passive primaries only, every shard),
-//     oracle and cross-shard violations, the fail-stop tripwire (no
-//     crashed replica ever read its hardware clock), and every live replica
-//     having finished rejoining, and no request left unanswered;
-//   * the report text and the exit verdict (ScenarioResult::ok()).
+//     oracle and cross-shard violations, fail-stop (no crashed replica ever
+//     read its hardware clock, and a crashed node's Totem counters stay
+//     frozen until its restart), every live replica having finished
+//     rejoining, and no request left unanswered;
+//   * the report text (its header line lists the faults in `--fault` form)
+//     and the exit verdict (ScenarioResult::ok()).
 //
 // `--chaos N` swaps the fault schedule and the closed-loop client for the
 // KV crash fuzz (one ring, `--kv` only): the engine steps the testbed from
@@ -26,11 +28,14 @@
 // majority survives it, 1 restarts the lowest-numbered crashed replica,
 // anything else issues one open-loop PUT/GET/DEL/ACQUIRE/RELEASE.  Then it
 // restarts every crashed replica and drains until every request is
-// answered and every replica has rejoined.
+// answered and every replica has rejoined.  Its crashes and restarts go
+// through the same fault path as a spec's.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.hpp"
@@ -39,11 +44,34 @@
 
 namespace cts::app {
 
+/// One fault, written `KIND@TRIGGER` (ctsim's repeatable `--fault`):
+///
+///   crash:R     fail-stop crash of replica R (of ring 0)
+///   recover:R   restart replica R; it rejoins by state transfer
+///   partition:R cut replica R's node off from every other node (replaces
+///               any earlier partition)
+///   heal        remove the partition
+///   step:R+D    step replica R's hardware clock by +D or -D (a time)
+///
+/// The trigger is a time `T` (absolute simulated time; `us`, `ms` or `s`,
+/// bare = us; a time before the end of start-up fires right after it) or
+/// `evK`: after the first K simulator events that follow the start of the
+/// client loop (one ring only).
 struct FaultEvent {
-  enum class Kind { kCrash, kRecover } kind;
-  std::uint32_t replica;
-  Micros at_us;
+  enum class Kind : std::uint8_t { kCrash, kRecover, kPartition, kHeal, kStep };
+  enum class Trigger : std::uint8_t { kTime, kEvent };
+  Kind kind = Kind::kCrash;
+  std::uint32_t replica = 0;  // unused by kHeal
+  std::int64_t at = 0;        // us, or an event count for Trigger::kEvent
+  Trigger trigger = Trigger::kTime;
+  Micros step_us = 0;  // kStep only
+
+  friend bool operator==(const FaultEvent&, const FaultEvent&) = default;
 };
+
+/// Parse `KIND@TRIGGER`; nullopt if malformed.  parse_fault(to_string(f)) == f.
+std::optional<FaultEvent> parse_fault(std::string_view text);
+std::string to_string(const FaultEvent& f);
 
 struct ScenarioSpec {
   std::size_t servers = 3;
@@ -103,8 +131,14 @@ struct ScenarioResult {
   std::uint64_t oracle_violations = 0;
   std::uint64_t cross_shard = 0;
   std::uint64_t monotonicity_violations = 0;
+  /// Largest step between consecutive time-server reply stamps: how far
+  /// the group clock jumped as the clients saw it.
+  Micros max_clock_step_us = 0;
   /// Clock reads by crashed replicas (fail-stop tripwire); must stay 0.
   std::uint64_t reads_after_failure = 0;
+  /// Crash intervals in which the crashed node's Totem counters moved
+  /// (it sent, received or delivered while dead); must stay 0.
+  std::uint64_t crashed_node_activity = 0;
   /// Live replicas that never finished rejoining (still in state transfer
   /// at the end of the run); must stay 0.
   std::uint64_t unrecovered = 0;
@@ -118,8 +152,8 @@ struct ScenarioResult {
 
   [[nodiscard]] bool ok() const {
     return monotonicity_violations == 0 && consistent && oracle_violations == 0 &&
-           cross_shard == 0 && reads_after_failure == 0 && unrecovered == 0 && dropped == 0 &&
-           cross_ring_ok;
+           cross_shard == 0 && reads_after_failure == 0 && crashed_node_activity == 0 &&
+           unrecovered == 0 && dropped == 0 && cross_ring_ok;
   }
   /// One JSON object on one line (with '\n'), as printed per seed by a
   /// multi-seed `ctsim` run.

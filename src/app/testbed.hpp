@@ -51,7 +51,9 @@ struct TestbedConfig {
   Micros max_clock_offset_us = 500'000;
   double max_drift_ppm = 50.0;
 
-  /// Consistent Time Service options.
+  /// Consistent Time Service options.  kReferenceBias gives the testbed a
+  /// reference clock (seeded from `seed`) that every replica reads,
+  /// restarted ones included.
   ccs::DriftCompensation drift = ccs::DriftCompensation::kNone;
   Micros mean_delay_us = 0;
   double reference_gain = 0.0;
@@ -119,6 +121,9 @@ class Testbed {
     }
 
     const std::uint32_t first_server = cfg_.with_client ? 1 : 0;
+    if (cfg_.drift == ccs::DriftCompensation::kReferenceBias) {
+      reference_ = std::make_unique<clock::ReferenceTimeSource>(sim_, Rng(cfg_.seed * 31 + 5), 200);
+    }
     if (cfg_.with_stable_storage) {
       for (std::uint32_t s = 0; s < cfg_.servers; ++s) {
         stores_.push_back(std::make_unique<storage::StableStore>(
@@ -142,8 +147,7 @@ class Testbed {
         mcfg.stable_store = stores_[s].get();
         mcfg.persist_every_requests = cfg_.persist_every;
       }
-      managers_.push_back(std::make_unique<replication::ReplicaManager>(
-          sim_, *eps_[node], *clocks_[node], mcfg, cfg_.factory));
+      managers_.push_back(make_manager(node, mcfg));
     }
 
     if (cfg_.with_client) {
@@ -274,9 +278,7 @@ class Testbed {
                                                     cfg_.max_clock_offset_us));
     totems_[node]->restart();
 
-    managers_[s] = std::make_unique<replication::ReplicaManager>(sim_, *eps_[node],
-                                                                 *clocks_[node], mcfg,
-                                                                 cfg_.factory);
+    managers_[s] = make_manager(node, mcfg);
     if (auto* orc = recorder_.oracle()) {
       orc->on_node_reset(NodeId{node});
       orc->on_replica_reset(mcfg.group, mcfg.replica);
@@ -285,6 +287,15 @@ class Testbed {
     eps_[node]->set_recorder(&recorder_);
     managers_[s]->set_recorder(&recorder_);
     return *managers_[s];
+  }
+
+  /// Server replica manager on host `node`, reading the reference clock.
+  std::unique_ptr<replication::ReplicaManager> make_manager(
+      std::uint32_t node, const replication::ManagerConfig& mcfg) {
+    auto m = std::make_unique<replication::ReplicaManager>(sim_, *eps_[node], *clocks_[node], mcfg,
+                                                           cfg_.factory);
+    m->time_service().set_reference(reference_.get());
+    return m;
   }
 
   TestbedConfig cfg_;
@@ -296,6 +307,7 @@ class Testbed {
   std::vector<std::unique_ptr<totem::TotemNode>> totems_;
   std::vector<std::unique_ptr<gcs::GcsEndpoint>> eps_;
   std::vector<std::unique_ptr<clock::PhysicalClock>> clocks_;
+  std::unique_ptr<clock::ReferenceTimeSource> reference_;  // kReferenceBias only
   std::vector<std::unique_ptr<replication::ReplicaManager>> managers_;
   std::vector<std::unique_ptr<storage::StableStore>> stores_;
   std::unique_ptr<orb::RmiClient> client_;

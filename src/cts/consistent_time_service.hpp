@@ -345,6 +345,7 @@ class ConsistentTimeService {
   /// Attach the external reference time source used by the kReferenceBias
   /// drift-compensation strategy.
   void set_reference(clock::ReferenceTimeSource* ref) { reference_ = ref; }
+  [[nodiscard]] const clock::ReferenceTimeSource* reference() const { return reference_; }
 
   // --- Multi-group causality (paper Section 5, future work) --------------------
 

@@ -4,124 +4,65 @@
 // nothing the dead node scheduled — timers, packet deliveries, suspended
 // coroutine frames — ever executes again.  A single crash test exercises
 // one interleaving; this sweep crashes each server at every event index
-// inside a window, so the crash lands on every kind of pending work the
-// node can have in flight (token timers mid-round, CTS rounds awaiting
-// their CCS message, GET_STATE retries, RMI replies in the network).
+// inside a window (`crash:R@evK`), so the crash lands on every kind of
+// pending work the node can have in flight (token timers mid-round, CTS
+// rounds awaiting their CCS message, GET_STATE retries, RMI replies in the
+// network).
 //
-// For every (server, event index) pair we assert the two observable
-// fail-stop properties:
-//   1. reads_after_failure() == 0 — the dead node never consults its
-//      clock again (the tripwire in PhysicalClock::read counts this);
-//   2. the dead node's Totem statistics are frozen at their crash-time
-//      values — it neither sends nor receives another protocol message.
-//
-// A second pass re-runs a slice of the sweep with the same seed and
-// asserts the recorded traces are byte-identical: crash schedules replay
-// exactly, which is what makes a crash reproducible from (seed, index).
+// Every point is one ScenarioSpec, so the scenario engine checks the two
+// observable fail-stop properties on each: the dead node never reads its
+// clock again (reads_after_failure), and its Totem counters stay frozen
+// from the crash to its restart or the end of the run
+// (crashed_node_activity).  Any point replays as
+// `ctsim --seed S --invocations 60 --think 900 --fault crash:R@evK`.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
-#include "app/testbed.hpp"
+#include "app/scenario.hpp"
 
 namespace cts::app {
 namespace {
 
-using replication::ReplicationStyle;
+using ccs::ReplicationStyle;
 
-// Everything observable about one (server, event-index) crash run.
-// Compared with == for the seed-stability double-run.
-struct CrashTrace {
-  Micros crash_time = 0;
-  std::uint64_t reads_after_failure = 0;
-  totem::TotemStats at_crash;
-  totem::TotemStats at_end;
-  std::vector<Micros> stamps;  // client replies observed after the crash
-  std::uint64_t timers_cancelled = 0;
-  std::uint64_t frames_destroyed = 0;
-
-  friend bool operator==(const CrashTrace&, const CrashTrace&) = default;
-};
-
-// Run the standard testbed workload, crash server `victim` exactly
-// `event_index` simulator events after warmup, then run a tail and record
-// what the dead node did (it had better be: nothing).
-CrashTrace run_crash_at(std::uint64_t seed, ReplicationStyle style, std::uint32_t victim,
-                        int event_index) {
-  TestbedConfig cfg;
-  cfg.seed = seed;
-  cfg.style = style;
-  Testbed tb(cfg);
-  tb.start();
-
-  std::vector<Micros> stamps;
-  auto driver = [&]() -> sim::Task {
-    for (int i = 0; i < 60; ++i) {
-      co_await tb.sim().delay(900);
-      const Bytes r = co_await tb.client().call(make_get_time_request());
-      BytesReader rd(r);
-      stamps.push_back(rd.i64() * 1'000'000 + rd.i64());
-    }
-  };
-  driver();
-
-  // Land the crash on the event-index grid, not the time grid: step the
-  // simulator one event at a time so consecutive sweep points interleave
-  // the crash with consecutive pieces of pending work.
-  for (int i = 0; i < event_index; ++i) {
-    if (!tb.sim().step()) break;
-  }
-
-  CrashTrace t;
-  t.crash_time = tb.sim().now();
-  tb.crash_server(victim);
-
-  const auto node = tb.server_node(victim);
-  t.at_crash = tb.totem_of(node).stats();
-  t.timers_cancelled = tb.scope_of(node).timers_cancelled_on_shutdown();
-  t.frames_destroyed = tb.scope_of(node).frames_destroyed_on_shutdown();
-
-  // Long enough for the survivors to reform the ring, re-run CCS rounds
-  // and keep serving the client — plenty of opportunity for any stray
-  // event owned by the dead node to fire.
-  tb.sim().run_for(8'000'000);
-
-  t.reads_after_failure = tb.clock_of(node).reads_after_failure();
-  t.at_end = tb.totem_of(node).stats();
-  t.stamps = std::move(stamps);
-  return t;
+/// The sweep's workload: 60 time-server calls, 900 us apart, with `faults`.
+ScenarioSpec sweep_spec(std::uint64_t seed, ReplicationStyle style,
+                        std::vector<FaultEvent> faults) {
+  ScenarioSpec spec;
+  spec.seed = seed;
+  spec.style = style;
+  spec.invocations = 60;
+  spec.think_us = 900;
+  spec.faults = std::move(faults);
+  return spec;
 }
 
-void expect_frozen(const CrashTrace& t, std::uint32_t victim, int idx) {
-  SCOPED_TRACE("victim=" + std::to_string(victim) + " event_index=" + std::to_string(idx) +
-               " crash_time=" + std::to_string(t.crash_time));
-  // Property 1: the fail-stop tripwire never fired.
-  EXPECT_EQ(t.reads_after_failure, 0u);
-  // Property 2: the dead node's protocol stack went silent — every Totem
-  // counter is frozen at its crash-time value.
-  EXPECT_EQ(t.at_end.tokens_sent, t.at_crash.tokens_sent);
-  EXPECT_EQ(t.at_end.tokens_received, t.at_crash.tokens_received);
-  EXPECT_EQ(t.at_end.token_retransmissions, t.at_crash.token_retransmissions);
-  EXPECT_EQ(t.at_end.msgs_multicast, t.at_crash.msgs_multicast);
-  EXPECT_EQ(t.at_end.msgs_retransmitted, t.at_crash.msgs_retransmitted);
-  EXPECT_EQ(t.at_end.msgs_delivered, t.at_crash.msgs_delivered);
-  EXPECT_EQ(t.at_end.membership_changes, t.at_crash.membership_changes);
+/// `crash:victim@evIDX`.
+FaultEvent crash_at(std::uint32_t victim, int idx) {
+  return {FaultEvent::Kind::kCrash, victim, idx, FaultEvent::Trigger::kEvent};
+}
+
+ScenarioResult expect_fail_stop(const ScenarioSpec& spec) {
+  const ScenarioResult r = run_scenario(spec);
+  SCOPED_TRACE(to_string(spec.faults.front()));
+  EXPECT_EQ(r.reads_after_failure, 0u);
+  EXPECT_EQ(r.crashed_node_activity, 0u);
+  EXPECT_TRUE(r.ok()) << r.report;
+  return r;
 }
 
 // The main sweep: each server, every event index in the window.  The
-// window starts right after start()'s settle period, where the ring is
+// window starts right after start-up's settle period, where the ring is
 // established and the client is mid-stream — the densest mix of pending
 // work (token rotation, CCS rounds, request processing).
 TEST(CrashSweepTest, EveryServerEveryEventIndexInWindow) {
-  constexpr int kWindow = 24;
   for (std::uint32_t victim = 0; victim < 3; ++victim) {
-    for (int idx = 0; idx < kWindow; ++idx) {
-      const CrashTrace t = run_crash_at(101, ReplicationStyle::kActive, victim, idx);
-      expect_frozen(t, victim, idx);
-      // The scope actually had work to kill: a live Totem node always has
-      // at least its token-loss/heartbeat timers pending.
-      EXPECT_GT(t.timers_cancelled, 0u);
+    for (int idx = 0; idx < 24; ++idx) {
+      expect_fail_stop(sweep_spec(101, ReplicationStyle::kActive, {crash_at(victim, idx)}));
     }
   }
 }
@@ -129,66 +70,40 @@ TEST(CrashSweepTest, EveryServerEveryEventIndexInWindow) {
 // Crashes interact differently with semi-active replication (the primary
 // drives timestamps); sweep a narrower window there too.
 TEST(CrashSweepTest, SemiActiveWindow) {
-  constexpr int kWindow = 12;
   for (std::uint32_t victim = 0; victim < 3; ++victim) {
-    for (int idx = 0; idx < kWindow; ++idx) {
-      const CrashTrace t = run_crash_at(102, ReplicationStyle::kSemiActive, victim, idx);
-      expect_frozen(t, victim, idx);
+    for (int idx = 0; idx < 12; ++idx) {
+      expect_fail_stop(sweep_spec(102, ReplicationStyle::kSemiActive, {crash_at(victim, idx)}));
     }
   }
 }
 
-// Seed stability: the same (seed, victim, event index) must reproduce the
-// same crash — same crash time, same frozen counters, same client-visible
-// reply stream, same shutdown bookkeeping.  Byte-identical traces mean a
-// crash found by the sweep can be replayed exactly from its coordinates.
+// Seed stability: the same (seed, victim, event index) reproduces the same
+// run — byte-identical exports and report — so a crash found by the sweep
+// can be replayed exactly from its coordinates.
 TEST(CrashSweepTest, SweepScheduleIsSeedStableAcrossRuns) {
   for (int idx : {0, 3, 7, 11, 16}) {
-    const CrashTrace a = run_crash_at(103, ReplicationStyle::kActive, 1, idx);
-    const CrashTrace b = run_crash_at(103, ReplicationStyle::kActive, 1, idx);
+    const ScenarioSpec spec = sweep_spec(103, ReplicationStyle::kActive, {crash_at(1, idx)});
+    const ScenarioResult a = run_scenario(spec);
+    const ScenarioResult b = run_scenario(spec);
     SCOPED_TRACE("event_index=" + std::to_string(idx));
-    EXPECT_EQ(a, b);
-    EXPECT_EQ(a.reads_after_failure, 0u);
+    EXPECT_EQ(a.export_digest, b.export_digest);
+    EXPECT_EQ(a.report, b.report);
+    EXPECT_TRUE(a.ok()) << a.report;
   }
 }
 
 // Crash-then-restart at swept indices: recovery must not resurrect any of
-// the pre-crash node's work.  The tripwire counts reads between fail()
-// and restart(); the restarted incarnation legitimately reads its clock,
-// so assert the counter taken at restart time stays zero for good.
+// the pre-crash node's work.  The tripwire counts reads between the crash
+// and the restart (the restarted incarnation legitimately reads its
+// clock), and the restarted replica must finish rejoining.
 TEST(CrashSweepTest, RestartAfterSweptCrashKeepsTripwireClean) {
   for (int idx : {2, 9, 17}) {
-    TestbedConfig cfg;
-    cfg.seed = 104;
-    Testbed tb(cfg);
-    tb.start();
-
-    std::vector<Bytes> replies;
-    auto driver = [&]() -> sim::Task {
-      for (int i = 0; i < 40; ++i) {
-        co_await tb.sim().delay(900);
-        replies.push_back(co_await tb.client().call(make_get_time_request()));
-      }
-    };
-    driver();
-
-    for (int i = 0; i < idx; ++i) tb.sim().step();
-    tb.crash_server(1);
-    const auto node = tb.server_node(1);
-    tb.sim().run_for(4'000'000);
-    EXPECT_EQ(tb.clock_of(node).reads_after_failure(), 0u);
-
-    bool recovered = false;
-    tb.restart_server(1, [&] { recovered = true; });
-    const Micros deadline = tb.sim().now() + 60'000'000;
-    while (!recovered && tb.sim().now() < deadline) {
-      tb.sim().run_until(tb.sim().now() + 100'000);
-    }
-    SCOPED_TRACE("event_index=" + std::to_string(idx));
-    EXPECT_TRUE(recovered);
-    // The dead interval stays clean even after the node lives again.
-    EXPECT_EQ(tb.clock_of(node).reads_after_failure(), 0u);
-    EXPECT_TRUE(tb.server(1).recovered());
+    ScenarioSpec spec = sweep_spec(104, ReplicationStyle::kActive,
+                                   {crash_at(1, idx), {FaultEvent::Kind::kRecover, 1, 4'200'000}});
+    spec.invocations = 40;
+    const ScenarioResult r = expect_fail_stop(spec);
+    EXPECT_TRUE(r.all_alive);
+    EXPECT_EQ(r.unrecovered, 0u);
   }
 }
 

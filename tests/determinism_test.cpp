@@ -19,15 +19,6 @@ namespace {
 
 using replication::ReplicationStyle;
 
-struct Trace {
-  std::vector<Micros> stamps;
-  std::vector<std::uint64_t> digests;   // per live replica
-  std::uint64_t ccs_wire = 0;
-  std::uint64_t packets = 0;
-
-  friend bool operator==(const Trace&, const Trace&) = default;
-};
-
 ScenarioSpec time_server_spec(std::uint64_t seed, ReplicationStyle style, bool with_faults) {
   ScenarioSpec spec;
   spec.seed = seed;
@@ -86,45 +77,20 @@ TEST(DeterminismTest, PartitionAndHealScheduleIsSeedStable) {
   // Regression for the hash-map iteration-order hazard: partition() and
   // heal() rebuild component_of_, and broadcast() draws per-receiver
   // randomness while walking handlers_ — both must iterate in NodeId order
-  // for the post-heal schedule to replay from the seed.
-  auto run = [](std::uint64_t seed) {
-    TestbedConfig cfg;
-    cfg.seed = seed;
-    Testbed tb(cfg);
-    tb.start();
-
-    Trace t;
-    bool done = false;
-    auto driver = [&]() -> sim::Task {
-      for (int i = 0; i < 24; ++i) {
-        co_await tb.sim().delay(700);
-        const Bytes r = co_await tb.client().call(make_get_time_request());
-        BytesReader rd(r);
-        t.stamps.push_back(rd.i64() * 1'000'000 + rd.i64());
-        // Isolate server 2 mid-run, then heal: the survivors re-form the
-        // ring, and the healed node merges back in.
-        if (i == 8) tb.net().partition({std::vector<NodeId>{tb.server_node(2)}});
-        if (i == 16) tb.net().heal();
-      }
-      done = true;
-    };
-    driver();
-    const Micros deadline = tb.sim().now() + 300'000'000;
-    while (!done && tb.sim().now() < deadline) tb.sim().run_until(tb.sim().now() + 100'000);
-    tb.sim().run_for(5'000'000);
-
-    for (std::uint32_t s = 0; s < 3; ++s) {
-      if (!tb.clock_of(tb.server_node(s)).alive() || !tb.server(s).recovered()) continue;
-      t.digests.push_back(tb.server_app(s).state_digest());
-      t.ccs_wire += tb.gcs_of(tb.server_node(s)).stats().on_wire(gcs::MsgType::kCcs);
-    }
-    t.packets = tb.net().stats().packets_sent;
-    return t;
-  };
-  const Trace a = run(27);
-  const Trace b = run(27);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a.stamps.size(), 24u);
+  // for the post-heal schedule to replay from the seed.  Server 2 is cut
+  // off mid-run and healed 9 ms later.
+  ScenarioSpec spec = time_server_spec(27, ReplicationStyle::kActive, false);
+  spec.invocations = 24;
+  spec.faults = {{FaultEvent::Kind::kPartition, 2, 210'361}, {FaultEvent::Kind::kHeal, 0, 219'454}};
+  const ScenarioResult a = run_scenario(spec);
+  const ScenarioResult b = run_scenario(spec);
+  EXPECT_EQ(a.export_digest, b.export_digest);
+  EXPECT_EQ(a.report, b.report);
+  EXPECT_EQ(a.replies, 24u);
+  EXPECT_EQ(a.reads_after_failure, 0u);
+  // Not ok(): the healed replica missed three requests, is never brought
+  // back by state transfer, and wins rounds that the client sees go
+  // backwards (ROADMAP item 1).
 }
 
 TEST(DeterminismTest, ExportedArtifactsAreByteIdenticalAcrossRuns) {

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <initializer_list>
+#include <string_view>
 
 #include "app/scenario.hpp"
 #include "app/testbed.hpp"
@@ -176,28 +178,18 @@ TEST(FailoverTest, FastRestartOfPrimaryDoesNotLeaveAGhostMember) {
 // --- Recovery -------------------------------------------------------------------------
 
 TEST(RecoveryTest, RestartedReplicaRejoinsViaStateTransfer) {
-  Testbed tb({});
-  tb.start();
-  FailStopCheck fail_stop{tb};
-  std::vector<Bytes> replies;
-  drive_client(tb, 60, replies);
-  ASSERT_TRUE(run_until(tb, [&] { return replies.size() >= 15; }, 60'000'000));
-
-  tb.crash_server(2);
-  ASSERT_TRUE(run_until(tb, [&] { return replies.size() >= 25; }, 60'000'000));
-
-  bool recovered = false;
-  tb.restart_server(2, [&] { recovered = true; });
-  ASSERT_TRUE(run_until(tb, [&] { return recovered; }, 120'000'000));
-  EXPECT_TRUE(tb.server(2).recovered());
-
-  ASSERT_TRUE(run_until(tb, [&] { return replies.size() == 60; }, 200'000'000));
-  tb.sim().run_for(2'000'000);
-
-  // All three replicas hold identical state again (the recovered one
-  // includes history from before its crash via the checkpoint).
-  EXPECT_EQ(tb.server_app(2).time_history(), tb.server_app(0).time_history());
-  EXPECT_EQ(tb.server_app(2).counter(), tb.server_app(0).counter());
+  // Replica 2 crashes mid-run (220 ms) and restarts 20 ms later while the
+  // client keeps calling.  The scenario checks that it finished rejoining
+  // and that all three replicas hold identical histories again (the
+  // recovered one includes history from before its crash via the
+  // checkpoint).
+  ScenarioSpec spec;
+  spec.invocations = 60;
+  spec.faults = {{FaultEvent::Kind::kCrash, 2, 220'000}, {FaultEvent::Kind::kRecover, 2, 240'000}};
+  const ScenarioResult r = run_scenario(spec);
+  EXPECT_EQ(r.replies, 60u);
+  EXPECT_TRUE(r.ok()) << r.report;
+  EXPECT_TRUE(r.all_alive);
 }
 
 TEST(RecoveryTest, SpecialRoundInitializesTheNewClock) {
@@ -209,6 +201,9 @@ TEST(RecoveryTest, SpecialRoundInitializesTheNewClock) {
   ASSERT_TRUE(run_until(tb, [&] { return replies.size() >= 10; }, 60'000'000));
 
   tb.crash_server(2);
+  // The crash had work to kill: a live Totem node always has at least its
+  // token-loss timer pending.
+  EXPECT_GT(tb.scope_of(tb.server_node(2)).timers_cancelled_on_shutdown(), 0u);
   ASSERT_TRUE(run_until(tb, [&] { return replies.size() >= 15; }, 60'000'000));
 
   bool recovered = false;
@@ -646,50 +641,36 @@ TEST(BaselineTest, CtsDoesNotRollBackInTheSameScenario) {
 
 // --- Hardware clock steps --------------------------------------------------------------
 
+/// 40 time-server calls on the default testbed; the hardware-clock steps
+/// land 220 ms in, while the client is mid-run.
+ScenarioResult run_with_clock_steps(std::initializer_list<std::string_view> steps) {
+  ScenarioSpec spec;
+  spec.invocations = 40;
+  for (const std::string_view s : steps) spec.faults.push_back(parse_fault(s).value());
+  const ScenarioResult r = run_scenario(spec);
+  EXPECT_EQ(r.replies, 40u);
+  // Monotone replies, agreeing replica histories and fail-stop.
+  EXPECT_TRUE(r.ok()) << r.report;
+  return r;
+}
+
 TEST(ClockStepTest, GroupClockAbsorbsAHugeForwardStep) {
   // An operator (or a misbehaving NTP daemon) steps one replica's hardware
   // clock forward by 30 seconds mid-run.  The group clock must not jump:
   // the next round re-derives that replica's offset and life goes on.
-  Testbed tb({});
-  tb.start();
-  FailStopCheck fail_stop{tb};
-  std::vector<Bytes> replies;
-  drive_client(tb, 40, replies);
-  ASSERT_TRUE(run_until(tb, [&] { return replies.size() >= 15; }, 60'000'000));
-  tb.clock_of(tb.server_node(1)).step(30'000'000);
-  ASSERT_TRUE(run_until(tb, [&] { return replies.size() == 40; }, 120'000'000));
-
-  const auto times = reply_times(replies);
-  Micros max_delta = 0;
-  for (std::size_t i = 1; i < times.size(); ++i) {
-    EXPECT_GT(times[i], times[i - 1]);
-    max_delta = std::max(max_delta, times[i] - times[i - 1]);
-  }
+  const ScenarioResult r = run_with_clock_steps({"step:1+30s@220ms"});
   // No reply-to-reply jump anywhere near the 30s step.  (The stepped
   // replica may briefly win a round with its inflated clock only before
   // its offset re-derives; the monotonic guard and offset arithmetic keep
   // the group clock continuous at the scale of round latency.)
-  EXPECT_LT(max_delta, 1'000'000);
-  tb.sim().run_for(2'000'000);
-  EXPECT_EQ(tb.server_app(0).time_history(), tb.server_app(1).time_history());
+  EXPECT_LT(r.max_clock_step_us, 1'000'000);
 }
 
 TEST(ClockStepTest, BackwardStepCannotRollTheGroupClockBack) {
-  Testbed tb({});
-  tb.start();
-  FailStopCheck fail_stop{tb};
-  std::vector<Bytes> replies;
-  drive_client(tb, 40, replies);
-  ASSERT_TRUE(run_until(tb, [&] { return replies.size() >= 15; }, 60'000'000));
   // Step ALL the hardware clocks backwards by 5 seconds.
-  for (std::uint32_t s = 0; s < 3; ++s) {
-    tb.clock_of(tb.server_node(s)).step(-5'000'000);
-  }
-  ASSERT_TRUE(run_until(tb, [&] { return replies.size() == 40; }, 120'000'000));
-  const auto times = reply_times(replies);
-  for (std::size_t i = 1; i < times.size(); ++i) {
-    EXPECT_GT(times[i], times[i - 1]) << "group clock rolled back after a hw clock step";
-  }
+  const ScenarioResult r =
+      run_with_clock_steps({"step:0-5s@220ms", "step:1-5s@220ms", "step:2-5s@220ms"});
+  EXPECT_EQ(r.monotonicity_violations, 0u) << "group clock rolled back after a hw clock step";
 }
 
 // --- NTP discipline -----------------------------------------------------------------------
@@ -754,14 +735,8 @@ Micros measure_group_drift(ccs::DriftCompensation strategy, Micros mean_delay, d
   cfg.reference_gain = gain;
   cfg.max_drift_ppm = 0.0;  // isolate algorithmic drift from crystal drift
   cfg.max_clock_offset_us = 0;
-  Testbed tb(cfg);
+  Testbed tb(cfg);  // with kReferenceBias, the testbed's reference clock
 
-  clock::ReferenceTimeSource ref(tb.sim(), Rng(9), 200);
-  if (strategy == ccs::DriftCompensation::kReferenceBias) {
-    for (std::uint32_t s = 0; s < tb.server_count(); ++s) {
-      tb.server(s).time_service().set_reference(&ref);
-    }
-  }
   // Record (group clock − real time) at the moment each round completes.
   Micros last_drift = 0;
   tb.server(0).time_service().set_round_observer([&](const ccs::RoundResult& rr) {
@@ -800,6 +775,23 @@ TEST(DriftCompensationTest, AdaptiveMeanDelayNeedsNoTuning) {
   // The online estimate tracks the actual per-round loss without a
   // hand-picked constant.
   EXPECT_LT(std::abs(adaptive), std::abs(none) / 2);
+}
+
+TEST(DriftCompensationTest, RestartedReplicaKeepsTheReference) {
+  // The testbed owns the reference clock, so the manager a restart builds
+  // reads it too: `--drift reference --fault crash:0@200ms --fault
+  // recover:0@400ms` used to leave replica 0 without it.
+  TestbedConfig cfg;
+  cfg.drift = ccs::DriftCompensation::kReferenceBias;
+  Testbed tb(cfg);
+  tb.start();
+  FailStopCheck fail_stop{tb};
+  tb.crash_server(0);
+  tb.sim().run_until(400'000);
+  tb.restart_server(0);
+  const clock::ReferenceTimeSource* ref = tb.server(1).time_service().reference();
+  ASSERT_NE(ref, nullptr);
+  EXPECT_EQ(tb.server(0).time_service().reference(), ref);
 }
 
 TEST(DriftCompensationTest, ReferenceBiasBoundsTheDrift) {

@@ -2,6 +2,9 @@
 // regressions for bugs its shared checks and sweeps turned up.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "app/scenario.hpp"
@@ -31,9 +34,7 @@ TEST(ScenarioArgsTest, RejectsMalformedAndContradictoryArguments) {
   EXPECT_EQ(parse({"--seed", "1,"}).error, "usage");
   EXPECT_EQ(parse({"--seed"}).error, "usage");
   EXPECT_EQ(parse({"--style", "lazy"}).error, "usage");
-  EXPECT_EQ(parse({"--crash", "2"}).error, "usage");
   EXPECT_EQ(parse({"--no-such-flag"}).error, "usage");
-  EXPECT_FALSE(parse({"--crash", "3@1ms"}).error.empty());
   EXPECT_FALSE(parse({"--rings", "2", "--durable"}).error.empty());
   EXPECT_FALSE(parse({"--seed", "1-2", "--trace-jsonl", "t.jsonl"}).error.empty());
   EXPECT_TRUE(parse({"--seed", "1-2"}).error.empty());
@@ -66,19 +67,61 @@ TEST(ScenarioArgsTest, ChaosNeedsKvOnOneRingWithoutAFaultSchedule) {
   EXPECT_EQ(a.spec.chaos, 12u);
   EXPECT_FALSE(parse({"--chaos", "12"}).error.empty());
   EXPECT_FALSE(parse({"--kv", "--chaos", "12", "--rings", "2"}).error.empty());
-  EXPECT_FALSE(parse({"--kv", "--chaos", "12", "--crash", "0@1ms"}).error.empty());
-  EXPECT_FALSE(parse({"--kv", "--recover", "0@1ms", "--chaos", "12"}).error.empty());
+  EXPECT_FALSE(parse({"--kv", "--chaos", "12", "--fault", "crash:0@1ms"}).error.empty());
+  EXPECT_FALSE(parse({"--kv", "--fault", "heal@ev3", "--chaos", "12"}).error.empty());
   EXPECT_EQ(parse({"--kv", "--chaos"}).error, "usage");
 }
 
-TEST(ScenarioArgsTest, FaultTimesTakeUnits) {
-  const ScenarioArgs a = parse({"--crash", "2@100ms", "--recover", "2@1.5s", "--crash", "1@250"});
-  ASSERT_TRUE(a.error.empty());
-  ASSERT_EQ(a.spec.faults.size(), 3u);
-  EXPECT_EQ(a.spec.faults[0].at_us, 100'000);
-  EXPECT_EQ(a.spec.faults[1].kind, FaultEvent::Kind::kRecover);
-  EXPECT_EQ(a.spec.faults[1].at_us, 1'500'000);
-  EXPECT_EQ(a.spec.faults[2].at_us, 250);
+// Every kind and both triggers parse, and print back to the same fault.
+TEST(FaultGrammarTest, EveryKindAndTriggerRoundTrips) {
+  using K = FaultEvent::Kind;
+  using T = FaultEvent::Trigger;
+  const std::pair<const char*, FaultEvent> cases[] = {
+      {"crash:2@100ms", {K::kCrash, 2, 100'000}},
+      {"recover:2@1.5s", {K::kRecover, 2, 1'500'000}},
+      {"partition:1@250", {K::kPartition, 1, 250}},
+      {"heal@250us", {K::kHeal, 0, 250}},
+      {"step:1+30s@220ms", {K::kStep, 1, 220'000, T::kTime, 30'000'000}},
+      {"step:0-5ms@ev7", {K::kStep, 0, 7, T::kEvent, -5'000}},
+      {"crash:0@ev4200", {K::kCrash, 0, 4200, T::kEvent}},
+      {"heal@ev0", {K::kHeal, 0, 0, T::kEvent}},
+  };
+  for (const auto& [text, want] : cases) {
+    const std::optional<FaultEvent> f = parse_fault(text);
+    ASSERT_TRUE(f.has_value()) << text;
+    EXPECT_EQ(*f, want) << text;
+    EXPECT_EQ(parse_fault(to_string(*f)), f) << text << " -> " << to_string(*f);
+  }
+  EXPECT_EQ(to_string(*parse_fault("recover:2@1.5s")), "recover:2@1500ms");
+  const ScenarioArgs a = parse({"--fault", "crash:2@100ms", "--fault", "heal@ev3"});
+  ASSERT_TRUE(a.error.empty()) << a.error;
+  EXPECT_EQ(a.spec.faults, (std::vector<FaultEvent>{*parse_fault("crash:2@100ms"),
+                                                   *parse_fault("heal@ev3")}));
+}
+
+TEST(FaultGrammarTest, MalformedOrImpossibleFaultsAreUsageErrors) {
+  for (const char* bad : {"crash:1", "crash:1@ev", "step:1@1ms", "crash@1ms", "heal:1@1ms",
+                          "crash:x@1ms", "crash:1@1h", "crash:1@-5ms", "melt:1@1ms",
+                          "crash:-1@1ms"}) {
+    EXPECT_FALSE(parse_fault(bad).has_value()) << bad;
+    EXPECT_EQ(parse({"--fault", bad}).error, "usage") << bad;
+  }
+  EXPECT_FALSE(parse({"--fault", "crash:3@1ms"}).error.empty());
+  EXPECT_TRUE(parse({"--fault", "crash:2@1ms"}).error.empty());
+  EXPECT_FALSE(parse({"--rings", "2", "--fault", "crash:1@ev5"}).error.empty());
+  EXPECT_TRUE(parse({"--rings", "2", "--fault", "crash:1@5ms"}).error.empty());
+  EXPECT_FALSE(parse({"--kv", "--chaos", "12", "--fault", "step:0+1s@1ms"}).error.empty());
+}
+
+// The report's header names every fault in `--fault` form, so it replays.
+TEST(FaultGrammarTest, ReportHeaderListsTheFaults) {
+  const ScenarioArgs a =
+      parse({"--invocations", "10", "--fault", "crash:1@100ms", "--fault", "recover:1@ev50"});
+  ASSERT_TRUE(a.error.empty()) << a.error;
+  const ScenarioResult r = run_scenario(a.spec);
+  EXPECT_NE(r.report.find("seed=1 loss=0.000 --fault crash:1@100ms --fault recover:1@ev50\n"),
+            std::string::npos)
+      << r.report;
 }
 
 // Single-ring KV runs compared every live replica against server 0, even
@@ -137,13 +180,25 @@ TEST(ScenarioRegressionTest, ShardedKvLeaseExpiryKeepsReplicasConsistent) {
 TEST(ScenarioRegressionTest, PassiveKvRejoinKeepsOneClockStream) {
   for (const char* seed : {"2", "3", "4", "11"}) {
     const ScenarioArgs a =
-        parse({"--style", "passive", "--kv", "--think", "50", "--crash", "0@300ms", "--recover",
-               "0@400ms", "--invocations", "800", "--seed", seed});
+        parse({"--style", "passive", "--kv", "--think", "50", "--fault", "crash:0@300ms",
+               "--fault", "recover:0@400ms", "--invocations", "800", "--seed", seed});
     ASSERT_TRUE(a.error.empty()) << a.error;
     const ScenarioResult r = run_scenario(a.spec);
     EXPECT_TRUE(r.ok()) << "seed " << seed << "\n" << r.report;
     EXPECT_EQ(r.replies, 800u) << "seed " << seed;
   }
+}
+
+// A fault timed after the workload's last reply used to be dropped: the
+// drain stopped 2 s after that reply, so replica 1 never came back.
+TEST(LateFaultTest, DrainRunsUntilTheLastFaultHasFired) {
+  const ScenarioArgs a = parse({"--invocations", "10", "--fault", "crash:1@100ms", "--fault",
+                                "recover:1@5s"});
+  ASSERT_TRUE(a.error.empty()) << a.error;
+  const ScenarioResult r = run_scenario(a.spec);
+  EXPECT_TRUE(r.all_alive) << r.report;
+  EXPECT_EQ(r.unrecovered, 0u) << r.report;
+  EXPECT_TRUE(r.ok()) << r.report;
 }
 
 }  // namespace

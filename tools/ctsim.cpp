@@ -9,8 +9,8 @@
 //
 // Examples:
 //   ctsim --servers 5 --invocations 2000
-//   ctsim --style passive --checkpoint-every 10 --crash 0@200ms --invocations 500
-//   ctsim --servers 3 --loss 0.02 --crash 2@100ms --recover 2@400ms --seed 9
+//   ctsim --style passive --checkpoint-every 10 --fault crash:0@200ms --invocations 500
+//   ctsim --servers 3 --loss 0.02 --fault crash:2@100ms --fault recover:2@400ms --seed 9
 //   ctsim --style semiactive --drift mean --mean-delay 45 --invocations 10000
 //   ctsim --topology 4x3 --kv --seed 1-8 --threads 4 > sweep.jsonl
 //   ctsim --kv --chaos 12 --invocations 120 --style passive --checkpoint-every 6 --seed 329
