@@ -112,7 +112,6 @@ class Archipelago {
     const std::size_t servers = map_.servers();
     deliveries_.assign(rings, 0);
     xseq_.assign(rings * rings, 0);
-    crashed_.assign(rings, std::vector<bool>(servers, false));
     messengers_.resize(rings);
     routers_.resize(rings);
 
@@ -193,7 +192,6 @@ class Archipelago {
 
   void crash_server(std::size_t r, std::uint32_t s) {
     rings_[r]->crash_server(s);
-    crashed_[r][s] = true;
   }
 
   void restart_server(std::size_t r, std::uint32_t s) {
@@ -204,7 +202,6 @@ class Archipelago {
     // Without a client, server 0's node is also the ring's gateway — its
     // fresh endpoint needs the remote-group subscriptions again.
     if (rings_[r]->server_node(s) == 0) wire_gateway(r);
-    crashed_[r][s] = false;
   }
 
   // --- Accessors ---
@@ -288,8 +285,9 @@ class Archipelago {
 
   void broadcast_now(std::size_t src, std::size_t dst, Bytes body) {
     const MsgSeqNum seq = ++xseq_[src * map_.rings() + dst];
+    Testbed& tb = *rings_[src];
     for (std::uint32_t s = 0; s < map_.servers(); ++s) {
-      if (crashed_[src][s]) continue;
+      if (!tb.clock_of(tb.server_node(s)).alive()) continue;  // crashed replica
       messengers_[src][s]->stamp_and_send(xgroup_of(dst), kInterRingConn, seq, body);
     }
   }
@@ -325,7 +323,6 @@ class Archipelago {
   std::vector<sim::IslandId> islands_;
   std::vector<std::unique_ptr<GatewayRouter>> routers_;
   std::vector<std::vector<std::unique_ptr<ccs::CausalMessenger>>> messengers_;
-  std::vector<std::vector<bool>> crashed_;
   std::vector<std::uint64_t> deliveries_;   // per-ring, each written by its ring's worker
   std::vector<MsgSeqNum> xseq_;             // per (src,dst), written by src's worker
   StampedFn handler_;

@@ -45,7 +45,6 @@ struct TestbedConfig {
   std::uint64_t seed = 1;
 
   net::NetworkConfig net;
-  totem::TotemConfig totem;  // universe is filled in automatically
 
   /// Physical clock diversity.
   Micros max_clock_offset_us = 500'000;
@@ -105,8 +104,7 @@ class Testbed {
  public:
   explicit Testbed(TestbedConfig cfg) : cfg_(std::move(cfg)), sim_(cfg_.seed), net_(sim_, cfg_.net) {
     const std::size_t nodes = cfg_.servers + (cfg_.with_client ? 1 : 0);
-    totem::TotemConfig tcfg = cfg_.totem;
-    tcfg.universe.clear();
+    totem::TotemConfig tcfg;
     for (std::uint32_t i = 0; i < nodes; ++i) tcfg.universe.push_back(NodeId{i});
 
     if (!cfg_.factory) cfg_.factory = time_server_factory();
@@ -209,7 +207,7 @@ class Testbed {
   /// Fail-stop crash of server replica s (host + clock + protocol stack).
   ///
   /// Shutting the lifecycle scope down runs the per-layer shutdown hooks
-  /// (Totem's crash() takes the node off the ring; the CTS abandons
+  /// (Totem's hook takes the node off the ring; the CTS abandons
   /// in-flight rounds, destroying suspended caller frames) and then cancels
   /// every timer and in-flight delivery the node owns.  Failing the clock
   /// afterwards arms the fail-stop tripwire: a dead node that somehow still

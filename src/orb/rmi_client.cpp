@@ -11,13 +11,12 @@ RmiClient::RmiClient(sim::Simulator& sim, gcs::GcsEndpoint& gcs, GroupId client_
 }
 
 RmiClient::~RmiClient() {
-  // Timed invocations may still have their timeout timers armed; cancel
+  // Timed invocations may still have their timeout timers pending; cancel
   // them through the node's scope (which outlives the client) so they do
-  // not fire into freed memory.  Destroying `outstanding_` drops the
-  // completions, destroying any coroutine frames parked inside.
-  for (auto& [seq, out] : outstanding_) {
-    if (out.timed) gcs_.scope().cancel(out.timer);
-  }
+  // not fire into freed memory (an untimed one's id is never valid, so its
+  // cancel does nothing).  Destroying `outstanding_` drops the completions,
+  // destroying any coroutine frames parked inside.
+  for (auto& [seq, out] : outstanding_) gcs_.scope().cancel(out.timer);
 }
 
 MsgSeqNum RmiClient::invoke(Bytes request, ReplyFn on_reply, Micros timeout_us,
@@ -43,7 +42,6 @@ MsgSeqNum RmiClient::invoke_complete(Bytes request, CompleteFn complete, Micros 
     // The timer captures no frame — the completion in `outstanding_` is the
     // single owner; the timer merely extracts it on expiry.  Scope-owned:
     // a node crash cancels it.
-    out.timed = true;
     out.timer = gcs_.scope().after(timeout_us, [this, seq] {
       auto it = outstanding_.find(seq);
       if (it == outstanding_.end()) return;  // reply arrived in time
@@ -74,7 +72,7 @@ void RmiClient::on_message(const gcs::Message& m) {
   if (it == outstanding_.end()) return;  // late duplicate after completion
   // The reply won the race: disarm the timeout (cancellation consumes no
   // sequence numbers, so the rest of the schedule is untouched).
-  if (it->second.timed) gcs_.scope().cancel(it->second.timer);
+  gcs_.scope().cancel(it->second.timer);
   auto fn = std::move(it->second.complete);
   outstanding_.erase(it);
   ++replies_;

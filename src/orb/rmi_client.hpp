@@ -121,8 +121,7 @@ class RmiClient {
   /// the reply wins the race or the client is destroyed.
   struct Outstanding {
     CompleteFn complete;
-    sim::Simulator::EventId timer{};
-    bool timed = false;
+    sim::Simulator::EventId timer{};  // default (never valid) if untimed
   };
 
   void on_message(const gcs::Message& m);

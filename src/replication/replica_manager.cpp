@@ -78,10 +78,8 @@ ReplicaManager::~ReplicaManager() {
   // mid-simulation.  Cancel them through the node's scope, which outlives
   // the manager; cancellation consumes no sequence numbers, so surviving
   // events keep their positions in the deterministic schedule.
-  if (get_state_armed_) scope_.cancel(get_state_timer_);
-  for (auto& sh : shards_) {
-    if (sh.pump_armed) scope_.cancel(sh.pump_event);
-  }
+  scope_.cancel(get_state_timer_);
+  for (auto& sh : shards_) scope_.cancel(sh.pump_event);
 }
 
 void ReplicaManager::start() {
@@ -135,16 +133,14 @@ void ReplicaManager::send_get_state() {
   // Re-issues can overlap an armed retry (e.g. a checkpoint raced clock
   // initialization): drop the stale timer first — it would only bail on its
   // epoch check anyway, and cancellation consumes no sequence numbers.
-  if (get_state_armed_) scope_.cancel(get_state_timer_);
+  scope_.cancel(get_state_timer_);
   get_state_timer_ = scope_.after(cfg_.get_state_retry_us, [this, epoch = recovery_epoch_] {
-    get_state_armed_ = false;
     if (recovering_ && recovery_epoch_ == epoch) {
       CTS_WARN() << "replica " << to_string(cfg_.replica)
                  << " state transfer timed out; re-issuing GET_STATE";
       send_get_state();
     }
   });
-  get_state_armed_ = true;
 }
 
 void ReplicaManager::start_cold() {
@@ -326,12 +322,8 @@ void ReplicaManager::schedule_pump(std::uint32_t shard) {
   // recurse.  The event is scope-owned: a crash (or manager destruction)
   // cancels it instead of pumping a dead replica.
   Shard& sh = shards_[shard];
-  if (sh.pump_armed) return;
-  sh.pump_armed = true;
-  sh.pump_event = scope_.after(0, [this, shard] {
-    shards_[shard].pump_armed = false;
-    pump(shard);
-  });
+  if (sim_.scheduled(sh.pump_event)) return;
+  sh.pump_event = scope_.after(0, [this, shard] { pump(shard); });
 }
 
 gcs::Message ReplicaManager::make_reply(const gcs::Message& request, std::uint32_t shard,

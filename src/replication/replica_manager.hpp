@@ -230,7 +230,6 @@ class ReplicaManager {
   // The GET_STATE retry timer, cancelled on destruction/crash instead of
   // firing into a freed (or dead) manager.
   sim::Simulator::EventId get_state_timer_{};
-  bool get_state_armed_ = false;
 
   // Per-shard serialized request processing; shards run concurrently.
   // A kGetState entry acts as a barrier: the shard stalls on it until
@@ -243,9 +242,9 @@ class ReplicaManager {
     bool processing = false;
     bool at_barrier = false;
     // The pump trampoline through the event queue (at most one in flight
-    // per shard), scope-owned like every other node event.
+    // per shard: pending while sim_.scheduled(pump_event)), scope-owned
+    // like every other node event.
     sim::Simulator::EventId pump_event{};
-    bool pump_armed = false;
   };
   std::vector<Shard> shards_;
   std::uint64_t delivery_count_ = 0;   // requests delivered so far (total order)
