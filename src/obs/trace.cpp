@@ -38,6 +38,7 @@ const char* to_string(EventKind k) {
     case EventKind::kGatewayForward: return "gateway_forward";
     case EventKind::kHandoffExport: return "handoff_export";
     case EventKind::kHandoffAdopt: return "handoff_adopt";
+    case EventKind::kTotemRecoveryGaveUp: return "totem_recovery_gave_up";
   }
   return "unknown";
 }

@@ -74,6 +74,8 @@ enum class EventKind : std::uint8_t {
   kGatewayForward,     // a=origin ring, b=owning ring
   kHandoffExport,      // a=stamp stream tag, b=handoff seq (source release)
   kHandoffAdopt,       // a=stamp stream tag, b=handoff seq (dest adoption)
+  // Appended after the rest so that every other kind keeps its number.
+  kTotemRecoveryGaveUp,  // a=contiguous old-ring aru, b=recovery target, c=old ring id
 };
 
 [[nodiscard]] const char* to_string(EventKind k);

@@ -79,7 +79,7 @@ namespace {
 
 constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
 constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
-constexpr int kKinds = static_cast<int>(EventKind::kHandoffAdopt) + 1;
+constexpr int kKinds = static_cast<int>(EventKind::kTotemRecoveryGaveUp) + 1;
 
 /// The storage TraceLog replaced: a capped vector.  to_jsonl() is written
 /// out independently so a decoding bug cannot hide behind shared code.
