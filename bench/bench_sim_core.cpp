@@ -219,16 +219,15 @@ BENCHMARK(BM_RingBatchThroughput);
 
 // The runtime ordering oracle's per-delivery cost on a loaded 4-node GCS
 // group: node 0 keeps the send queue topped up with 64-byte ordered
-// multicasts, every node's GCS delivery path runs with a Recorder wired —
-// Arg(0) with the oracle disabled (counters only), Arg(1) with every
-// delivery verified against the canonical sequence.  items = messages
-// delivered at node 3.  The token-ring benches above carry no Recorder at
-// all, so their recorded trajectory is untouched by the oracle's existence.
+// multicasts, and every node records into the network's Recorder —
+// Arg(0) with the oracle disabled (counters and trace only), Arg(1) with
+// every delivery verified against the canonical sequence.  items =
+// messages delivered at node 3.  The token-ring benches above record too
+// but never enable the oracle.
 void BM_OracleOverhead(benchmark::State& state) {
   sim::Simulator sim(17);
   net::Network net(sim, {});
-  obs::Recorder rec(sim);
-  if (state.range(0) == 1) rec.enable_oracle(/*abort_on_violation=*/true);
+  if (state.range(0) == 1) net.recorder().enable_oracle(/*abort_on_violation=*/true);
   totem::TotemConfig tcfg;
   for (std::uint32_t i = 0; i < 4; ++i) tcfg.universe.push_back(NodeId{i});
   constexpr GroupId kGrp{1};
@@ -237,7 +236,6 @@ void BM_OracleOverhead(benchmark::State& state) {
   for (std::uint32_t i = 0; i < 4; ++i) {
     nodes.push_back(std::make_unique<totem::TotemNode>(sim, net, NodeId{i}, tcfg));
     eps.push_back(std::make_unique<gcs::GcsEndpoint>(sim, *nodes.back()));
-    eps.back()->set_recorder(&rec);
     nodes.back()->start();
     eps.back()->join_group(kGrp, ReplicaId{i});
   }

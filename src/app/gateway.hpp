@@ -88,9 +88,7 @@ class GatewayRouter {
         client_(&client),
         scope_(&scope),
         rec_(rec),
-        send_(std::move(send)),
-        c_forwards_(&rec.counter("gateway.forwards")),
-        c_fwd_served_(&rec.counter("gateway.fwd_served")) {}
+        send_(std::move(send)) {}
 
   /// Route a client request.  If the ShardMap says this ring owns the key
   /// (or the request is not a recognizable keyed request — STATS, COUNT,
@@ -103,7 +101,7 @@ class GatewayRouter {
       client_->invoke(std::move(request), std::move(done));
       return;
     }
-    ++*c_forwards_;
+    ++c_forwards_;
     const std::uint64_t id = ++next_fwd_id_;
     rec_.event(obs::EventKind::kGatewayForward, NodeId{0}, ReplicaId{},
                static_cast<std::int64_t>(ring_), static_cast<std::int64_t>(*owner),
@@ -137,7 +135,7 @@ class GatewayRouter {
   /// Link ingress: a misdirected request forwarded from ring `origin`.
   /// Invoke it on this ring's replicated server and route the reply back.
   void on_fwd_request(std::uint32_t origin_ring, std::uint64_t fwd_id, Bytes request) {
-    ++*c_fwd_served_;
+    ++c_fwd_served_;
     client_->invoke(std::move(request),
                     [this, origin_ring, fwd_id](const Bytes& reply) {
                       send_(origin_ring, frame_fwd_reply(fwd_id, reply));
@@ -164,10 +162,10 @@ class GatewayRouter {
   SendFrameFn send_;
   std::map<std::uint64_t, ReplyFn> pending_;
   std::uint64_t next_fwd_id_ = 0;
-  // Counter handles resolved once at construction; route()/on_fwd_request()
-  // run per client request and must not pay a by-name map lookup.
-  obs::Counter* c_forwards_;
-  obs::Counter* c_fwd_served_;
+  // route()/on_fwd_request() run per client request and must not pay a
+  // by-name map lookup.
+  obs::Counter& c_forwards_ = rec_.counter("gateway.forwards");
+  obs::Counter& c_fwd_served_ = rec_.counter("gateway.fwd_served");
 };
 
 }  // namespace cts::app

@@ -107,31 +107,27 @@ class HandoffStream {
       return;
     }
     ++sent_;
-    if (auto* rec = gcs_->recorder()) {
-      ++rec->counter(prefix_ + ".handoffs_out");
-      rec->event(obs::EventKind::kHandoffExport, gcs_->node_id(), replica_,
-                 messenger_->stream().value, static_cast<std::int64_t>(seq),
-                 static_cast<std::int64_t>(dst));
-    }
+    obs::Recorder& rec = gcs_->recorder();
+    ++rec.counter(prefix_ + ".handoffs_out");
+    rec.event(obs::EventKind::kHandoffExport, gcs_->node_id(), replica_, messenger_->stream().value,
+              static_cast<std::int64_t>(seq), static_cast<std::int64_t>(dst));
   }
 
   /// Runs at every replica of this ring in agreed order, with the causal
   /// floor already raised to `stamp` — so the next clock reading here
   /// exceeds the transfer stamp minted at the source.
   void on_delivered(const gcs::Message& m, Micros stamp, const Bytes& record) {
-    auto* rec = gcs_->recorder();
+    obs::Recorder& rec = gcs_->recorder();
     try {
       adopt_(record);
     } catch (const CodecError&) {
-      if (rec) ++rec->counter(prefix_ + ".handoffs_rejected");
+      ++rec.counter(prefix_ + ".handoffs_rejected");
       return;
     }
     ++adopted_;
-    if (rec) {
-      ++rec->counter(prefix_ + ".handoffs_in");
-      rec->event(obs::EventKind::kHandoffAdopt, gcs_->node_id(), replica_, m.hdr.tag.value,
-                 static_cast<std::int64_t>(m.hdr.seq), static_cast<std::int64_t>(stamp));
-    }
+    ++rec.counter(prefix_ + ".handoffs_in");
+    rec.event(obs::EventKind::kHandoffAdopt, gcs_->node_id(), replica_, m.hdr.tag.value,
+              static_cast<std::int64_t>(m.hdr.seq), static_cast<std::int64_t>(stamp));
   }
 
   gcs::GcsEndpoint* gcs_;

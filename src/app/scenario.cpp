@@ -701,9 +701,13 @@ ScenarioArgs parse_scenario_args(int argc, const char* const* argv) {
       if (++i >= argc) throw std::invalid_argument("missing value");
       return argv[i];
     };
+    // Digits only: std::stoul would wrap "-1" to a huge count.
+    auto count = [&](int& i) {
+      return static_cast<std::uint32_t>(parse_count(need(i), UINT32_MAX));
+    };
     for (int i = 1; i < argc; ++i) {
       const std::string a = argv[i];
-      if (a == "--servers") o.servers = std::stoul(need(i));
+      if (a == "--servers") o.servers = count(i);
       else if (a == "--style") {
         const auto v = need(i);
         if (v == "active") o.style = ReplicationStyle::kActive;
@@ -716,7 +720,7 @@ ScenarioArgs parse_scenario_args(int argc, const char* const* argv) {
       else if (a == "--loss") o.loss = std::stod(need(i));
       else if (a == "--clock-offset") o.max_clock_offset_us = parse_time(need(i));
       else if (a == "--clock-drift") o.max_drift_ppm = std::stod(need(i));
-      else if (a == "--checkpoint-every") o.checkpoint_every = static_cast<std::uint32_t>(std::stoul(need(i)));
+      else if (a == "--checkpoint-every") o.checkpoint_every = count(i);
       else if (a == "--drift") {
         const auto v = need(i);
         if (v == "none") o.drift = ccs::DriftCompensation::kNone;
@@ -730,15 +734,15 @@ ScenarioArgs parse_scenario_args(int argc, const char* const* argv) {
         if (!f) throw std::invalid_argument(argv[i]);
         o.faults.push_back(*f);
       }
-      else if (a == "--shards") o.shards = static_cast<std::uint32_t>(std::stoul(need(i)));
-      else if (a == "--chaos") o.chaos = static_cast<std::uint32_t>(std::stoul(need(i)));
-      else if (a == "--rings") o.rings = std::stoul(need(i));
+      else if (a == "--shards") o.shards = count(i);
+      else if (a == "--chaos") o.chaos = count(i);
+      else if (a == "--rings") o.rings = count(i);
       else if (a == "--topology") {
         const auto topo = TopologySpec::parse(need(i));
         if (!topo) throw std::invalid_argument("topology");
         o.rings = topo->rings;
         o.servers = topo->servers;
-      } else if (a == "--threads") o.threads = static_cast<unsigned>(std::stoul(need(i)));
+      } else if (a == "--threads") o.threads = count(i);
       else if (a == "--durable") o.durable = true;
       else if (a == "--kv") o.kv = true;
       else if (a == "--metrics-json") o.metrics_json = need(i);
@@ -751,6 +755,18 @@ ScenarioArgs parse_scenario_args(int argc, const char* const* argv) {
     return args;
   }
   o.seed = args.seeds.front();
+  if (o.servers == 0 || o.rings == 0 || o.shards == 0) {
+    args.error = "--servers, --rings and --shards take at least 1";
+    return args;
+  }
+  if (o.invocations < 0) {
+    args.error = "--invocations takes at least 0";
+    return args;
+  }
+  if (o.shards > 1 && o.style == ReplicationStyle::kPassive) {
+    args.error = "--shards > 1 needs --style active or semiactive";
+    return args;
+  }
   for (const FaultEvent& f : o.faults) {
     if (f.replica >= o.servers) {
       args.error = "fault references replica " + std::to_string(f.replica) +

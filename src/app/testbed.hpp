@@ -103,6 +103,16 @@ struct TestbedIds {
 class Testbed {
  public:
   explicit Testbed(TestbedConfig cfg) : cfg_(std::move(cfg)), sim_(cfg_.seed), net_(sim_, cfg_.net) {
+    // The network's recorder observes every layer of this testbed.  The
+    // oracle must exist before the first node is built: each layer takes
+    // its pointer at construction.
+    bool oracle = cfg_.oracle;
+    if (const char* env = std::getenv("CTS_ORACLE")) {
+      const std::string_view v(env);
+      oracle = !(v == "off" || v == "0");
+    }
+    if (oracle) recorder().enable_oracle(/*abort_on_violation=*/true);
+
     const std::size_t nodes = cfg_.servers + (cfg_.with_client ? 1 : 0);
     totem::TotemConfig tcfg;
     for (std::uint32_t i = 0; i < nodes; ++i) tcfg.universe.push_back(NodeId{i});
@@ -153,19 +163,6 @@ class Testbed {
                                                  cfg_.server_group,
                                                  TestbedIds::kRequestConn);
     }
-
-    // One shared recorder observes every layer of this testbed; endpoints
-    // wire their Totem node, managers wire their time service.  The oracle
-    // must exist before the wiring below — layers cache its pointer.
-    bool oracle = cfg_.oracle;
-    if (const char* env = std::getenv("CTS_ORACLE")) {
-      const std::string_view v(env);
-      oracle = !(v == "off" || v == "0");
-    }
-    if (oracle) recorder_.enable_oracle(/*abort_on_violation=*/true);
-    net_.set_recorder(&recorder_);
-    for (auto& ep : eps_) ep->set_recorder(&recorder_);
-    for (auto& m : managers_) m->set_recorder(&recorder_);
   }
 
   /// Boot every node and let the ring form and the group views settle.
@@ -179,7 +176,7 @@ class Testbed {
 
   sim::Simulator& sim() { return sim_; }
   net::Network& net() { return net_; }
-  obs::Recorder& recorder() { return recorder_; }
+  obs::Recorder& recorder() { return net_.recorder(); }
   orb::RmiClient& client() { return *client_; }
   [[nodiscard]] std::size_t server_count() const { return managers_.size(); }
 
@@ -229,14 +226,9 @@ class Testbed {
       timers += t->scope().timers_cancelled_on_shutdown();
       frames += t->scope().frames_destroyed_on_shutdown();
     }
-    // Counter handles resolved on first sync (stable for recorder_'s
-    // lifetime) — repeated crash/export cycles skip the by-name lookup.
-    if (c_scope_timers_ == nullptr) {
-      c_scope_timers_ = &recorder_.counter("sim.timers_cancelled_on_shutdown");
-      c_scope_frames_ = &recorder_.counter("node.frames_destroyed_on_shutdown");
-    }
-    c_scope_timers_->value = timers;
-    c_scope_frames_->value = frames;
+    // By name, at the first sync: a run without a crash exports neither.
+    recorder().counter("sim.timers_cancelled_on_shutdown").value = timers;
+    recorder().counter("node.frames_destroyed_on_shutdown").value = frames;
   }
 
   /// Restart server replica s's host and rejoin via state transfer.  The
@@ -259,9 +251,9 @@ class Testbed {
   storage::StableStore& store_of(std::uint32_t s) { return *stores_[s]; }
 
  private:
-  /// Rebuild server replica s's process on its host, wired to the recorder
-  /// but not started.  `group_reset` tells the oracle the whole group
-  /// restarts (a cold start after a total failure).
+  /// Rebuild server replica s's process on its host, not started.
+  /// `group_reset` tells the oracle the whole group restarts (a cold start
+  /// after a total failure).
   replication::ReplicaManager& rebuild_server(std::uint32_t s, bool group_reset) {
     const auto node = server_node(s);
     const replication::ManagerConfig mcfg = managers_[s]->config();
@@ -277,13 +269,11 @@ class Testbed {
     totems_[node]->restart();
 
     managers_[s] = make_manager(node, mcfg);
-    if (auto* orc = recorder_.oracle()) {
+    if (auto* orc = recorder().oracle()) {
       orc->on_node_reset(NodeId{node});
       orc->on_replica_reset(mcfg.group, mcfg.replica);
       if (group_reset) orc->on_group_reset(mcfg.group);
     }
-    eps_[node]->set_recorder(&recorder_);
-    managers_[s]->set_recorder(&recorder_);
     return *managers_[s];
   }
 
@@ -299,9 +289,6 @@ class Testbed {
   TestbedConfig cfg_;
   sim::Simulator sim_;
   net::Network net_;
-  obs::Recorder recorder_{sim_};
-  obs::Counter* c_scope_timers_ = nullptr;   // cached by sync_scope_stats()
-  obs::Counter* c_scope_frames_ = nullptr;
   std::vector<std::unique_ptr<totem::TotemNode>> totems_;
   std::vector<std::unique_ptr<gcs::GcsEndpoint>> eps_;
   std::vector<std::unique_ptr<clock::PhysicalClock>> clocks_;

@@ -106,16 +106,14 @@ bool ConsistentTimeService::start_round_impl(ThreadId thread, ClockCallType call
   CcsHandler& h = handlers_.at(thread);
   // The state-transfer special round is traced by its completion only: it
   // records no kCcsRoundStart or kCcsSendAvoided event.
-  const bool traced = rec_ != nullptr && thread != kSpecialThread;
+  const bool traced = thread != kSpecialThread;
   if (h.waiting) {
     // Always-on guard (paper 3.1: clock-related operations within a thread
     // are sequential).  Proceeding would silently clobber the in-flight
     // round's DoneFn, stranding its caller forever.
     ++stats_.reentrant_rejected;
-    if (c_reentrant_) ++*c_reentrant_;
-    if (rec_) {
-      rec_->event(obs::EventKind::kCcsReentrantCall, gcs_.node_id(), cfg_.replica, thread.value);
-    }
+    ++c_reentrant_;
+    rec_.event(obs::EventKind::kCcsReentrantCall, gcs_.node_id(), cfg_.replica, thread.value);
     CTS_ERROR() << "replica " << to_string(cfg_.replica) << ": clock-related operation started on "
                 << to_string(thread) << " while round " << h.my_round_number
                 << " is still in flight; call rejected";
@@ -136,7 +134,7 @@ bool ConsistentTimeService::start_round_impl(ThreadId thread, ClockCallType call
   h.sent_this_round = false;
   h.waiting = std::move(done);
   if (traced) {
-    rec_->event(obs::EventKind::kCcsRoundStart, gcs_.node_id(), cfg_.replica, thread.value,
+    rec_.event(obs::EventKind::kCcsRoundStart, gcs_.node_id(), cfg_.replica, thread.value,
                 static_cast<std::int64_t>(h.my_round_number));
   }
 
@@ -148,9 +146,9 @@ bool ConsistentTimeService::start_round_impl(ThreadId thread, ClockCallType call
     if (may_send && !recovering_) send_proposal(h);
   } else {
     ++stats_.sends_avoided;
-    if (c_avoided_) ++*c_avoided_;
+    ++c_avoided_;
     if (traced) {
-      rec_->event(obs::EventKind::kCcsSendAvoided, gcs_.node_id(), cfg_.replica, thread.value,
+      rec_.event(obs::EventKind::kCcsSendAvoided, gcs_.node_id(), cfg_.replica, thread.value,
                   static_cast<std::int64_t>(h.my_round_number));
     }
   }
@@ -179,7 +177,7 @@ void ConsistentTimeService::send_proposal(CcsHandler& h) {
   gcs_.send(std::move(m));
   h.sent_this_round = true;
   ++stats_.sends_initiated;
-  if (c_sends_) ++*c_sends_;
+  ++c_sends_;
   if (orc_) {
     orc_->on_ccs_send(cfg_.group, cfg_.replica, h.my_thread_id, h.my_round_number,
                       h.proposed_at_round, special);
@@ -243,7 +241,7 @@ void ConsistentTimeService::recv_into_handler(CcsHandler& h, BufferedMsg msg) {
   // Figure 3, lines 5 & 10: duplicate detection based on msg_seq_num.
   if (msg.seq <= h.last_seq_seen) {
     ++stats_.duplicates_dropped;
-    if (c_duplicates_) ++*c_duplicates_;
+    ++c_duplicates_;
     return;
   }
   h.last_seq_seen = msg.seq;
@@ -310,33 +308,28 @@ void ConsistentTimeService::try_complete(CcsHandler& h) {
   }
 
   ++stats_.rounds_completed;
-  if (c_rounds_) ++*c_rounds_;
-  const bool won = msg.sender_replica == cfg_.replica;
-  if (won) {
-    ++stats_.rounds_won;
-    if (c_wins_) ++*c_wins_;
-  }
+  ++c_rounds_;
   if (msg.payload.special_round) ++stats_.special_rounds;
-  if (rec_) {
-    rec_->event(obs::EventKind::kCcsRoundComplete, gcs_.node_id(), cfg_.replica,
-                static_cast<std::int64_t>(h.my_round_number),
-                static_cast<std::int64_t>(msg.sender_replica.value), grp);
-    if (won) {
-      // One kSynchronizerWin per (thread, round) across the whole group:
-      // only the replica whose proposal was ordered first records it.
-      rec_->event(obs::EventKind::kSynchronizerWin, gcs_.node_id(), cfg_.replica,
-                  static_cast<std::int64_t>(h.my_round_number),
-                  static_cast<std::int64_t>(h.my_thread_id.value));
-    }
-    // Observed skew of the agreed group clock vs drift-free real time
-    // (epoch + simulated now).  Signed value in the event and gauge; the
-    // histogram takes the magnitude (Histogram rejects negatives).
-    const Micros skew = grp - (clock_.config().epoch_us + sim_.now());
-    rec_->event(obs::EventKind::kSkewSample, gcs_.node_id(), cfg_.replica, skew,
-                static_cast<std::int64_t>(h.my_round_number));
-    rec_->metrics().set_gauge("cts.last_skew_us", skew);
-    if (h_skew_) h_skew_->add(skew < 0 ? -skew : skew);
+  rec_.event(obs::EventKind::kCcsRoundComplete, gcs_.node_id(), cfg_.replica,
+             static_cast<std::int64_t>(h.my_round_number),
+             static_cast<std::int64_t>(msg.sender_replica.value), grp);
+  if (msg.sender_replica == cfg_.replica) {
+    ++stats_.rounds_won;
+    ++c_wins_;
+    // One kSynchronizerWin per (thread, round) across the whole group:
+    // only the replica whose proposal was ordered first records it.
+    rec_.event(obs::EventKind::kSynchronizerWin, gcs_.node_id(), cfg_.replica,
+               static_cast<std::int64_t>(h.my_round_number),
+               static_cast<std::int64_t>(h.my_thread_id.value));
   }
+  // Observed skew of the agreed group clock vs drift-free real time
+  // (epoch + simulated now).  Signed value in the event and gauge; the
+  // histogram takes the magnitude (Histogram rejects negatives).
+  const Micros skew = grp - (clock_.config().epoch_us + sim_.now());
+  rec_.event(obs::EventKind::kSkewSample, gcs_.node_id(), cfg_.replica, skew,
+             static_cast<std::int64_t>(h.my_round_number));
+  rec_.metrics().set_gauge("cts.last_skew_us", skew);
+  h_skew_.add(skew < 0 ? -skew : skew);
 
   if (observer_) {
     RoundResult rr;
@@ -376,10 +369,8 @@ void ConsistentTimeService::set_primary(bool primary) {
     if (h.waiting && h.my_input_buffer.empty() && !h.sent_this_round) {
       send_proposal(h);
       ++stats_.proposals_resent;
-      if (rec_) {
-        rec_->event(obs::EventKind::kProposalResent, gcs_.node_id(), cfg_.replica, t.value,
-                    static_cast<std::int64_t>(h.my_round_number));
-      }
+      rec_.event(obs::EventKind::kProposalResent, gcs_.node_id(), cfg_.replica, t.value,
+                 static_cast<std::int64_t>(h.my_round_number));
     }
   }
 }
@@ -438,23 +429,6 @@ void ConsistentTimeService::restore(const Snapshot& snap) {
     auto it = handlers_.find(t);
     if (it == handlers_.end()) continue;
     std::erase_if(buf, [&](const BufferedMsg& b) { return b.seq <= it->second.my_round_number; });
-  }
-}
-
-void ConsistentTimeService::set_recorder(obs::Recorder* rec) {
-  rec_ = rec;
-  orc_ = rec ? rec->oracle() : nullptr;
-  if (rec) {
-    c_rounds_ = &rec->counter("cts.rounds_completed");
-    c_wins_ = &rec->counter("cts.rounds_won");
-    c_sends_ = &rec->counter("cts.sends_initiated");
-    c_avoided_ = &rec->counter("cts.sends_avoided");
-    c_duplicates_ = &rec->counter("cts.duplicates_dropped");
-    c_reentrant_ = &rec->counter("cts.reentrant_rejected");
-    h_skew_ = &rec->metrics().histogram("cts.skew_abs_us", 100, 100'000);
-  } else {
-    c_rounds_ = c_wins_ = c_sends_ = c_avoided_ = c_duplicates_ = c_reentrant_ = nullptr;
-    h_skew_ = nullptr;
   }
 }
 

@@ -339,9 +339,6 @@ class ConsistentTimeService {
   /// Observer invoked at every completed round (benchmarks, tests).
   void set_round_observer(RoundObserver obs) { observer_ = std::move(obs); }
 
-  /// Attach (or detach, with nullptr) an observability recorder.
-  void set_recorder(obs::Recorder* rec);
-
   /// Attach the external reference time source used by the kReferenceBias
   /// drift-compensation strategy.
   void set_reference(clock::ReferenceTimeSource* ref) { reference_ = ref; }
@@ -434,16 +431,15 @@ class ConsistentTimeService {
   RoundObserver observer_;
   CtsStats stats_;
 
-  obs::Recorder* rec_ = nullptr;
-  obs::OrderingOracle* orc_ = nullptr;  // cached from rec_ in set_recorder()
-  // Hot-path counters, resolved once in set_recorder().
-  obs::Counter* c_rounds_ = nullptr;
-  obs::Counter* c_wins_ = nullptr;
-  obs::Counter* c_sends_ = nullptr;
-  obs::Counter* c_avoided_ = nullptr;
-  obs::Counter* c_duplicates_ = nullptr;
-  obs::Counter* c_reentrant_ = nullptr;
-  Histogram* h_skew_ = nullptr;
+  obs::Recorder& rec_ = gcs_.recorder();
+  obs::OrderingOracle* const orc_ = gcs_.oracle();
+  obs::Counter& c_rounds_ = rec_.counter("cts.rounds_completed");
+  obs::Counter& c_wins_ = rec_.counter("cts.rounds_won");
+  obs::Counter& c_sends_ = rec_.counter("cts.sends_initiated");
+  obs::Counter& c_avoided_ = rec_.counter("cts.sends_avoided");
+  obs::Counter& c_duplicates_ = rec_.counter("cts.duplicates_dropped");
+  obs::Counter& c_reentrant_ = rec_.counter("cts.reentrant_rejected");
+  Histogram& h_skew_ = rec_.metrics().histogram("cts.skew_abs_us", 100, 100'000);
 };
 
 }  // namespace cts::ccs

@@ -83,17 +83,14 @@ class CausalMessenger {
       try {
         p = StampedPayload::decode(m.payload);
       } catch (const CodecError&) {
-        if (auto* rec = gcs_.recorder()) {
-          ++rec->counter("multigroup.stamps_rejected");
-          rec->event(obs::EventKind::kStampRejected, gcs_.node_id(), time_.config().replica,
-                     m.hdr.conn.value, static_cast<std::int64_t>(m.payload.size()));
-        }
+        // By name, at the first rejection: only runs with one export it.
+        ++rec_.counter("multigroup.stamps_rejected");
+        rec_.event(obs::EventKind::kStampRejected, gcs_.node_id(), time_.config().replica,
+                   m.hdr.conn.value, static_cast<std::int64_t>(m.payload.size()));
         return;
       }
-      if (auto* rec = gcs_.recorder()) {
-        if (auto* orc = rec->oracle()) {
-          orc->on_stamp_observed(my_group_, time_.config().replica, p.timestamp, m.hdr.src_grp);
-        }
+      if (orc_) {
+        orc_->on_stamp_observed(my_group_, time_.config().replica, p.timestamp, m.hdr.src_grp);
       }
       time_.advance_causal_floor(p.timestamp);
       if (fn) fn(m, p.timestamp, p.body);
@@ -168,6 +165,8 @@ class CausalMessenger {
   ConsistentTimeService& time_;
   GroupId my_group_;
   ThreadId thread_;
+  obs::Recorder& rec_ = gcs_.recorder();
+  obs::OrderingOracle* const orc_ = gcs_.oracle();
 };
 
 }  // namespace cts::ccs

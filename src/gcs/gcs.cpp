@@ -34,6 +34,10 @@ bool is_control(MsgType t) { return t == MsgType::kGroupJoin || t == MsgType::kG
 
 GcsEndpoint::GcsEndpoint(sim::Simulator& sim, totem::TotemNode& totem)
     : sim_(sim), totem_(totem) {
+  for (std::size_t i = 0; i < kMsgTypes; ++i) {
+    c_delivered_by_type_[i] =
+        &rec_.counter(std::string("gcs.delivered.") + to_string(static_cast<MsgType>(i + 1)));
+  }
   totem_.set_deliver_handler(
       [this](NodeId sender, const SharedBytes& data) { on_totem_deliver(sender, data); });
   totem_.set_view_handler([this](const totem::View& v) { on_totem_view(v); });
@@ -59,7 +63,9 @@ Bytes GcsEndpoint::encode(const Message& m) {
 namespace {
 MessageHeader decode_header(BytesReader& r) {
   MessageHeader h;
-  h.type = static_cast<MsgType>(r.u8());
+  const std::uint8_t type = r.u8();
+  if (type == 0 || type > kMsgTypes) throw CodecError("unknown GCS message type");
+  h.type = static_cast<MsgType>(type);
   h.src_grp = GroupId{r.u32()};
   h.dst_grp = GroupId{r.u32()};
   h.conn = ConnectionId{r.u32()};
@@ -136,11 +142,9 @@ void GcsEndpoint::bump_view(GroupId g) {
   auto& v = views_[g];
   v.group = g;
   ++v.view_num;
-  if (c_view_changes_) ++*c_view_changes_;
-  if (rec_) {
-    rec_->event(obs::EventKind::kGcsViewChange, totem_.id(), ReplicaId{},
-                static_cast<std::int64_t>(g.value), static_cast<std::int64_t>(v.members.size()));
-  }
+  ++c_view_changes_;
+  rec_.event(obs::EventKind::kGcsViewChange, totem_.id(), ReplicaId{},
+             static_cast<std::int64_t>(g.value), static_cast<std::int64_t>(v.members.size()));
   // Callbacks get a snapshot of the view, and the subscriber list is
   // re-found on every iteration: a callback may touch views_ (dangling the
   // `v` reference above) or register new view subscribers (growing /
@@ -286,6 +290,9 @@ void GcsEndpoint::on_fragment(const Message& frag) {
   try {
     BytesReader r(frag.payload);
     original_type = r.u8();
+    if (original_type == 0 || original_type >= static_cast<std::uint8_t>(MsgType::kFragment)) {
+      throw CodecError("bad fragment type");
+    }
     idx = r.u32();
     count = r.u32();
     // Locate the chunk instead of copying it out; it is appended straight
@@ -351,12 +358,10 @@ void GcsEndpoint::process_message(Message m) {
       for (auto th : it->second.totem_handles) all &= totem_.cancel(th);
       if (all) {
         ++stats_.sent_cancelled[static_cast<std::size_t>(it->second.type)];
-        if (c_cancelled_) ++*c_cancelled_;
-        if (rec_) {
-          rec_->event(obs::EventKind::kGcsSendCancelled, totem_.id(), m.hdr.sender_replica,
-                      static_cast<std::int64_t>(it->second.type),
-                      static_cast<std::int64_t>(m.hdr.seq));
-        }
+        ++c_cancelled_;
+        rec_.event(obs::EventKind::kGcsSendCancelled, totem_.id(), m.hdr.sender_replica,
+                   static_cast<std::int64_t>(it->second.type),
+                   static_cast<std::int64_t>(m.hdr.seq));
       }
     }
     pending_.erase(it);
@@ -366,19 +371,17 @@ void GcsEndpoint::process_message(Message m) {
   auto [it, fresh] = last_delivered_.try_emplace(sk, 0);
   if (!fresh && m.hdr.seq <= it->second) {
     ++stats_.duplicates_dropped[type_idx];
-    if (c_duplicates_) ++*c_duplicates_;
+    ++c_duplicates_;
     return;
   }
   it->second = m.hdr.seq;
 
   ++stats_.delivered[type_idx];
-  if (c_delivered_) ++*c_delivered_;
-  if (type_idx < 16 && c_delivered_by_type_[type_idx]) ++*c_delivered_by_type_[type_idx];
-  if (rec_) {
-    rec_->event(obs::EventKind::kGcsDeliver, totem_.id(), m.hdr.sender_replica,
-                static_cast<std::int64_t>(m.hdr.type), static_cast<std::int64_t>(m.hdr.seq),
-                static_cast<std::int64_t>(m.hdr.conn.value));
-  }
+  ++c_delivered_;
+  ++*c_delivered_by_type_[type_idx - 1];
+  rec_.event(obs::EventKind::kGcsDeliver, totem_.id(), m.hdr.sender_replica,
+             static_cast<std::int64_t>(m.hdr.type), static_cast<std::int64_t>(m.hdr.seq),
+             static_cast<std::int64_t>(m.hdr.conn.value));
   if (orc_) {
     orc_->on_gcs_deliver(totem_.id(), m.hdr.dst_grp, m.hdr.conn,
                          static_cast<std::uint8_t>(m.hdr.type), m.hdr.tag, m.hdr.seq,
@@ -393,25 +396,6 @@ void GcsEndpoint::process_message(Message m) {
     auto sub = subscribers_.find(m.hdr.dst_grp);
     if (sub == subscribers_.end() || i >= sub->second.size()) break;
     sub->second[i](m);
-  }
-}
-
-void GcsEndpoint::set_recorder(obs::Recorder* rec) {
-  rec_ = rec;
-  orc_ = rec ? rec->oracle() : nullptr;
-  totem_.set_recorder(rec);
-  if (rec) {
-    c_delivered_ = &rec->counter("gcs.delivered");
-    c_duplicates_ = &rec->counter("gcs.duplicates_dropped");
-    c_cancelled_ = &rec->counter("gcs.sent_cancelled");
-    c_view_changes_ = &rec->counter("gcs.view_changes");
-    for (std::size_t i = 1; i <= static_cast<std::size_t>(MsgType::kFragment); ++i) {
-      c_delivered_by_type_[i] =
-          &rec->counter(std::string("gcs.delivered.") + to_string(static_cast<MsgType>(i)));
-    }
-  } else {
-    c_delivered_ = c_duplicates_ = c_cancelled_ = c_view_changes_ = nullptr;
-    for (auto& c : c_delivered_by_type_) c = nullptr;
   }
 }
 

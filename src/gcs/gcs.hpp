@@ -24,6 +24,7 @@
 //     network for 10,000 rounds instead of 10,000 each.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -49,6 +50,9 @@ enum class MsgType : std::uint8_t {
   kGroupLeave = 7,   // replica left a group (control)
   kFragment = 8,     // one fragment of a large message (transparent)
 };
+/// Number of message types; decode() rejects a type byte outside
+/// [1, kMsgTypes].
+inline constexpr std::size_t kMsgTypes = 8;
 
 [[nodiscard]] const char* to_string(MsgType t);
 
@@ -173,13 +177,12 @@ class GcsEndpoint {
   /// there, never directly on the simulator.
   [[nodiscard]] sim::TaskScope& scope() { return totem_.scope(); }
 
-  /// Attach (or detach, with nullptr) an observability recorder.  Also
-  /// wires the underlying Totem node.
-  void set_recorder(obs::Recorder* rec);
-  /// The attached recorder (nullptr when observability is off).  Facades
-  /// built on top of the endpoint (CausalMessenger) reach the ordering
-  /// oracle through it.
-  [[nodiscard]] obs::Recorder* recorder() const { return rec_; }
+  /// The host's recorder (net::Network::recorder()).  Facades built on
+  /// top of the endpoint (CausalMessenger, HandoffStream) count and trace
+  /// through it and reach the ordering oracle through oracle().
+  [[nodiscard]] obs::Recorder& recorder() const { return rec_; }
+  /// The ordering oracle, or nullptr when the recorder has none.
+  [[nodiscard]] obs::OrderingOracle* oracle() const { return orc_; }
 
   /// encode() writes this many bytes ahead of the payload: the header
   /// fields and the payload's u32 length prefix.
@@ -272,15 +275,15 @@ class GcsEndpoint {
   FlatMap<ReasmKey, Reassembly> reassembly_;
 
   GcsStats stats_;
-  obs::Recorder* rec_ = nullptr;
-  obs::OrderingOracle* orc_ = nullptr;  // cached from rec_ in set_recorder()
-  // Hot-path counters resolved once in set_recorder(); per-type delivery
-  // counts are indexed by MsgType so delivery stays map-lookup free.
-  obs::Counter* c_delivered_ = nullptr;
-  obs::Counter* c_duplicates_ = nullptr;
-  obs::Counter* c_cancelled_ = nullptr;
-  obs::Counter* c_view_changes_ = nullptr;
-  obs::Counter* c_delivered_by_type_[16] = {};
+  obs::Recorder& rec_ = totem_.recorder();
+  obs::OrderingOracle* const orc_ = rec_.oracle();
+  obs::Counter& c_delivered_ = rec_.counter("gcs.delivered");
+  obs::Counter& c_duplicates_ = rec_.counter("gcs.duplicates_dropped");
+  obs::Counter& c_cancelled_ = rec_.counter("gcs.sent_cancelled");
+  obs::Counter& c_view_changes_ = rec_.counter("gcs.view_changes");
+  // gcs.delivered.<type>, indexed by MsgType - 1 so delivery stays
+  // map-lookup free.
+  std::array<obs::Counter*, kMsgTypes> c_delivered_by_type_{};
 };
 
 }  // namespace cts::gcs

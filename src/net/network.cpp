@@ -88,11 +88,9 @@ void Network::deliver(NodeId src, NodeId dst, SharedBytes payload, Micros depart
     mutated[byte] ^= static_cast<std::uint8_t>(1u << rng_.below(8));
     payload = SharedBytes(std::move(mutated));
     ++stats_.packets_corrupted;
-    if (c_corrupted_) ++*c_corrupted_;
-    if (rec_) {
-      rec_->event(obs::EventKind::kNetCorrupt, dst, ReplicaId{}, src.value,
-                  static_cast<std::int64_t>(payload.size()));
-    }
+    ++c_corrupted_;
+    rec_.event(obs::EventKind::kNetCorrupt, dst, ReplicaId{}, src.value,
+               static_cast<std::int64_t>(payload.size()));
   }
   const Micros arrive = depart + draw_hop_latency();
   auto on_arrive = [this, src, dst, p = std::move(payload)] {
@@ -104,7 +102,7 @@ void Network::deliver(NodeId src, NodeId dst, SharedBytes payload, Micros depart
       return;
     }
     ++stats_.packets_delivered;
-    if (c_delivered_) ++*c_delivered_;
+    ++c_delivered_;
     s->handler(src, p);
   };
   // The in-flight packet belongs to the destination's lifecycle scope: a
@@ -120,17 +118,15 @@ void Network::deliver(NodeId src, NodeId dst, SharedBytes payload, Micros depart
 
 void Network::drop(NodeId src, NodeId dst, std::size_t payload_size) {
   ++stats_.packets_dropped;
-  if (c_dropped_) ++*c_dropped_;
-  if (rec_) {
-    rec_->event(obs::EventKind::kNetDrop, dst, ReplicaId{}, src.value,
-                static_cast<std::int64_t>(payload_size));
-  }
+  ++c_dropped_;
+  rec_.event(obs::EventKind::kNetDrop, dst, ReplicaId{}, src.value,
+             static_cast<std::int64_t>(payload_size));
 }
 
 void Network::send(NodeId src, NodeId dst, SharedBytes payload) {
   ++stats_.packets_sent;
   stats_.bytes_sent += payload.size();
-  if (c_sent_) ++*c_sent_;
+  ++c_sent_;
   const Micros depart = tx_departure(src, payload.size());
   if (!reachable(src, dst) || rng_.chance(cfg_.loss_probability)) {
     drop(src, dst, payload.size());
@@ -142,7 +138,7 @@ void Network::send(NodeId src, NodeId dst, SharedBytes payload) {
 void Network::broadcast(NodeId src, SharedBytes payload) {
   ++stats_.packets_sent;
   stats_.bytes_sent += payload.size();
-  if (c_sent_) ++*c_sent_;
+  ++c_sent_;
   // One transmission serves every receiver (Ethernet broadcast); loss and
   // jitter are drawn per receiver (independent NIC/interrupt behavior).
   // Ascending node-id walk — the same receiver order (and therefore the
@@ -182,14 +178,12 @@ void Network::partition(const std::vector<std::vector<NodeId>>& components) {
     ++idx;
   }
   CTS_INFO() << "network partitioned into " << components.size() << "+ components";
-  if (rec_) {
-    // By-name lookup is fine here: partition()/heal() run per injected
-    // fault, not per packet (the packet counters below are cached).
-    ++rec_->counter("net.partitions");
-    rec_->event(obs::EventKind::kNetPartition, NodeId{}, ReplicaId{},
-                components.empty() ? 0 : static_cast<std::int64_t>(components[0].size()),
-                components.size() > 1 ? static_cast<std::int64_t>(components[1].size()) : 0);
-  }
+  // By name, at the first partition: the counter exists only in runs that
+  // inject one.
+  ++rec_.counter("net.partitions");
+  rec_.event(obs::EventKind::kNetPartition, NodeId{}, ReplicaId{},
+             components.empty() ? 0 : static_cast<std::int64_t>(components[0].size()),
+             components.size() > 1 ? static_cast<std::int64_t>(components[1].size()) : 0);
 }
 
 void Network::heal() {
@@ -197,22 +191,8 @@ void Network::heal() {
   sparse_components_.clear();
   components_assigned_ = 0;
   CTS_INFO() << "network partition healed";
-  if (rec_) {
-    ++rec_->counter("net.heals");
-    rec_->event(obs::EventKind::kNetHeal);
-  }
-}
-
-void Network::set_recorder(obs::Recorder* rec) {
-  rec_ = rec;
-  if (rec) {
-    c_sent_ = &rec->counter("net.packets_sent");
-    c_delivered_ = &rec->counter("net.packets_delivered");
-    c_dropped_ = &rec->counter("net.packets_dropped");
-    c_corrupted_ = &rec->counter("net.packets_corrupted");
-  } else {
-    c_sent_ = c_delivered_ = c_dropped_ = c_corrupted_ = nullptr;
-  }
+  ++rec_.counter("net.heals");
+  rec_.event(obs::EventKind::kNetHeal);
 }
 
 }  // namespace cts::net

@@ -68,7 +68,7 @@ class Network {
   using Handler = std::function<void(NodeId, const SharedBytes&)>;
 
   Network(sim::Simulator& sim, NetworkConfig cfg)
-      : sim_(sim), cfg_(cfg), rng_(sim.rng().fork()) {}
+      : sim_(sim), cfg_(cfg), rng_(sim.rng().fork()), rec_(sim) {}
 
   /// Register a host's packet-receive handler.  A host must be attached
   /// before anyone can send to it.
@@ -109,9 +109,10 @@ class Network {
   [[nodiscard]] const NetworkStats& stats() const { return stats_; }
   [[nodiscard]] NetworkConfig& config() { return cfg_; }
 
-  /// Attach (or detach, with nullptr) an observability recorder.  Purely
-  /// passive: recording never schedules events or draws randomness.
-  void set_recorder(obs::Recorder* rec);
+  /// The island's recorder: every layer built on this network (Totem, GCS,
+  /// CTS, replication) counts and traces into it.  Purely passive:
+  /// recording never schedules events or draws randomness.
+  obs::Recorder& recorder() { return rec_; }
 
  private:
   /// Everything the network knows about one host, in one cache-friendly
@@ -155,12 +156,11 @@ class Network {
   // partition(); the old std::map stored them inertly, and so do we).
   FlatMap<std::uint32_t, int> sparse_components_;
   NetworkStats stats_;
-  obs::Recorder* rec_ = nullptr;
-  // Hot-path counters, resolved once in set_recorder().
-  obs::Counter* c_sent_ = nullptr;
-  obs::Counter* c_delivered_ = nullptr;
-  obs::Counter* c_dropped_ = nullptr;
-  obs::Counter* c_corrupted_ = nullptr;
+  obs::Recorder rec_;
+  obs::Counter& c_sent_ = rec_.counter("net.packets_sent");
+  obs::Counter& c_delivered_ = rec_.counter("net.packets_delivered");
+  obs::Counter& c_dropped_ = rec_.counter("net.packets_dropped");
+  obs::Counter& c_corrupted_ = rec_.counter("net.packets_corrupted");
 };
 
 }  // namespace cts::net

@@ -1,12 +1,14 @@
-// Recorder: the per-testbed bundle of MetricsRegistry + TraceLog, stamped
+// Recorder: the per-island bundle of MetricsRegistry + TraceLog, stamped
 // with deterministic simulated time.
 //
-// One Recorder per Testbed (benches build several testbeds in one process;
-// a global would mix their runs).  Layers receive a nullable Recorder* via
-// set_recorder() and guard every touch with `if (rec_)`, so the stack runs
-// unchanged when observability is off.  Recording never feeds back into the
-// simulation — no RNG draws, no scheduled events — so enabling it cannot
-// perturb determinism.
+// Each net::Network owns one (benches build several networks in one
+// process; a global would mix their runs), and every layer built on that
+// network takes it, its ordering-oracle pointer and its counter handles at
+// construction: Totem from the network, GCS from Totem, and the CTS,
+// replication, CausalMessenger and HandoffStream from the GCS endpoint.
+// Observability is therefore always on and needs no wiring call.  Recording
+// never feeds back into the simulation — no RNG draws, no scheduled
+// events — so it cannot perturb determinism.
 #pragma once
 
 #include <memory>
@@ -33,8 +35,8 @@ class Recorder {
   Counter& counter(std::string_view name) { return metrics_.counter(name); }
 
   /// Create the runtime ordering oracle (doc/STATIC_ANALYSIS.md).  Must be
-  /// called BEFORE the layers' set_recorder() wiring — they cache the
-  /// oracle pointer alongside their hot-path counters.  Idempotent.
+  /// called before the first layer is built on the network — each layer
+  /// takes the oracle pointer at construction.  Idempotent.
   OrderingOracle& enable_oracle(bool abort_on_violation = true) {
     if (!oracle_) {
       oracle_ = std::make_unique<OrderingOracle>(sim_, metrics_, trace_, abort_on_violation);
@@ -58,16 +60,10 @@ class Recorder {
   /// summaries carry the engine's view of the run:
   ///   sim.events_executed (counter) — events fired since construction;
   ///   sim.queue_depth (gauge)       — live pending events at export time.
-  /// Called by summary() and the exports; cheap and idempotent.  The counter
-  /// and gauge slots are resolved once (stable node references) so repeated
-  /// syncs skip the by-name map walk entirely.
+  /// Called by summary() and the exports; cheap and idempotent.
   void sync_sim_stats() {
-    if (sim_events_ == nullptr) {
-      sim_events_ = &metrics_.counter("sim.events_executed");
-      sim_queue_depth_ = &metrics_.gauge_slot("sim.queue_depth");
-    }
-    sim_events_->value = sim_.events_executed();
-    *sim_queue_depth_ = static_cast<std::int64_t>(sim_.pending());
+    metrics_.counter("sim.events_executed").value = sim_.events_executed();
+    metrics_.set_gauge("sim.queue_depth", static_cast<std::int64_t>(sim_.pending()));
   }
 
  private:
@@ -75,8 +71,6 @@ class Recorder {
   MetricsRegistry metrics_;
   TraceLog trace_;
   std::unique_ptr<OrderingOracle> oracle_;
-  Counter* sim_events_ = nullptr;
-  std::int64_t* sim_queue_depth_ = nullptr;
 };
 
 /// Honor the observability environment variable CTS_OBS_DIR=<dir>: write

@@ -1,6 +1,7 @@
 #include "replication/replica_manager.hpp"
 
 #include <cassert>
+#include <stdexcept>
 
 #include "common/logging.hpp"
 
@@ -31,6 +32,17 @@ std::optional<std::uint64_t> peek_covered(std::span<const std::uint8_t> snapshot
     return std::nullopt;
   }
 }
+
+/// The constructor's preconditions, checked in every build type before
+/// anything subscribes to the endpoint.
+ManagerConfig checked(ManagerConfig cfg) {
+  if (cfg.shards < 1) throw std::invalid_argument("ReplicaManager: shards must be >= 1");
+  if (cfg.shards > 1 && cfg.style == ReplicationStyle::kPassive) {
+    throw std::invalid_argument(
+        "ReplicaManager: sharded processing is supported for active/semi-active replication");
+  }
+  return cfg;
+}
 }  // namespace
 
 ReplicaManager::ReplicaManager(sim::Simulator& sim, gcs::GcsEndpoint& gcs,
@@ -39,22 +51,18 @@ ReplicaManager::ReplicaManager(sim::Simulator& sim, gcs::GcsEndpoint& gcs,
     : sim_(sim),
       gcs_(gcs),
       scope_(gcs.scope()),
-      cfg_(cfg),
-      cts_(sim, gcs, clk, [&cfg] {
+      cfg_(checked(std::move(cfg))),
+      cts_(sim, gcs, clk, [this] {
         ccs::CtsConfig c;
-        c.group = cfg.group;
-        c.ccs_conn = cfg.ccs_conn;
-        c.replica = cfg.replica;
-        c.style = cfg.style;
-        c.drift = cfg.drift;
-        c.mean_delay_us = cfg.mean_delay_us;
-        c.reference_gain = cfg.reference_gain;
+        c.group = cfg_.group;
+        c.ccs_conn = cfg_.ccs_conn;
+        c.replica = cfg_.replica;
+        c.style = cfg_.style;
+        c.drift = cfg_.drift;
+        c.mean_delay_us = cfg_.mean_delay_us;
+        c.reference_gain = cfg_.reference_gain;
         return c;
       }()) {
-  assert(cfg_.shards >= 1);
-  assert((cfg_.shards == 1 || cfg_.style != ReplicationStyle::kPassive) &&
-         "sharded processing is supported for active/semi-active replication");
-
   // Create the shards in index order — the paper's requirement that threads
   // be created in the same order at every replica.
   shards_.resize(cfg_.shards);
@@ -92,10 +100,8 @@ void ReplicaManager::start_recovering(UniqueFn<void()> recovered) {
   clock_initialized_ = false;
   saw_own_get_state_ = false;
   recovered_cb_ = std::move(recovered);
-  if (rec_) {
-    ++*c_recoveries_started_;
-    rec_->event(obs::EventKind::kRecoveryStart, gcs_.node_id(), cfg_.replica);
-  }
+  ++c_recoveries_started_;
+  rec_.event(obs::EventKind::kRecoveryStart, gcs_.node_id(), cfg_.replica);
   cts_.begin_recovery([this](Micros) { clock_initialized_ = true; });
 
   // Evict our dead predecessor incarnation from the group view.  If the
@@ -208,11 +214,9 @@ void ReplicaManager::on_view(const gcs::GroupView& v) {
     ++stats_.promotions;
     primary_ = true;
     CTS_INFO() << "replica " << to_string(cfg_.replica) << " promoted to primary";
-    if (rec_) {
-      ++*c_promotions_;
-      rec_->event(obs::EventKind::kFailover, gcs_.node_id(), cfg_.replica,
-                  static_cast<std::int64_t>(stats_.promotions));
-    }
+    ++c_promotions_;
+    rec_.event(obs::EventKind::kFailover, gcs_.node_id(), cfg_.replica,
+               static_cast<std::int64_t>(stats_.promotions));
     cts_.set_primary(true);
     if (cfg_.style == ReplicationStyle::kSemiActive) {
       // Re-send the replies the old primary may never have transmitted;
@@ -381,7 +385,7 @@ std::optional<DecodedCheckpoint> ReplicaManager::verify_state_payload(
 
 void ReplicaManager::count_rejected_checkpoint() {
   ++stats_.checkpoints_rejected;
-  if (rec_) ++*c_checkpoints_rejected_;
+  ++c_checkpoints_rejected_;
 }
 
 void ReplicaManager::restore_apps(std::span<const Bytes> states) {
@@ -417,11 +421,9 @@ void ReplicaManager::apply_full_checkpoint(std::span<const std::uint8_t> state) 
   cts_.restore(cts_state);
   processed_count_ = covered;
   ++stats_.checkpoints_applied;
-  if (rec_) {
-    ++*c_checkpoints_applied_;
-    rec_->event(obs::EventKind::kCheckpointApplied, gcs_.node_id(), cfg_.replica,
-                static_cast<std::int64_t>(covered));
-  }
+  ++c_checkpoints_applied_;
+  rec_.event(obs::EventKind::kCheckpointApplied, gcs_.node_id(), cfg_.replica,
+             static_cast<std::int64_t>(covered));
 
   if (recovering_) {
     // Renumber the queued requests with group-consistent delivery indexes:
@@ -470,11 +472,9 @@ void ReplicaManager::maybe_serve_barrier() {
 
 void ReplicaManager::serve_state_transfer(const gcs::Message& get_state) {
   ++stats_.state_transfers_served;
-  if (rec_) {
-    ++*c_state_transfers_served_;
-    rec_->event(obs::EventKind::kStateTransfer, gcs_.node_id(), cfg_.replica,
-                static_cast<std::int64_t>(log_.size()));
-  }
+  ++c_state_transfers_served_;
+  rec_.event(obs::EventKind::kStateTransfer, gcs_.node_id(), cfg_.replica,
+             static_cast<std::int64_t>(log_.size()));
   // Section 3.2: a special round of consistent clock synchronization is
   // taken immediately before the checkpoint, so the recovering replica can
   // initialize its offset from the group clock.
@@ -517,11 +517,9 @@ Bytes ReplicaManager::send_checkpoint(ThreadId tag, MsgSeqNum seq, bool keep_cop
   Bytes copy = keep_copy ? m.payload.to_bytes() : Bytes{};
   gcs_.send(std::move(m));
   ++stats_.checkpoints_taken;
-  if (rec_) {
-    ++*c_checkpoints_taken_;
-    rec_->event(obs::EventKind::kCheckpointTaken, gcs_.node_id(), cfg_.replica,
-                static_cast<std::int64_t>(ckpt_bytes));
-  }
+  ++c_checkpoints_taken_;
+  rec_.event(obs::EventKind::kCheckpointTaken, gcs_.node_id(), cfg_.replica,
+             static_cast<std::int64_t>(ckpt_bytes));
   return copy;
 }
 
@@ -569,11 +567,9 @@ void ReplicaManager::on_state(const gcs::Message& m) {
     for (auto& sh : shards_) queued += sh.queue.size();
     CTS_INFO() << "replica " << to_string(cfg_.replica) << " recovered (" << queued
                << " queued requests to drain)";
-    if (rec_) {
-      ++*c_recoveries_completed_;
-      rec_->event(obs::EventKind::kRecoveryComplete, gcs_.node_id(), cfg_.replica,
-                  static_cast<std::int64_t>(queued));
-    }
+    ++c_recoveries_completed_;
+    rec_.event(obs::EventKind::kRecoveryComplete, gcs_.node_id(), cfg_.replica,
+               static_cast<std::int64_t>(queued));
     if (recovered_cb_) {
       auto cb = std::move(recovered_cb_);
       recovered_cb_ = nullptr;
@@ -631,23 +627,6 @@ void ReplicaManager::note_chain() {
   links.reserve(chain_.size());
   for (const auto& h : chain_) links.push_back({h.upto, h.digest, h.parent, h.link});
   orc_->on_checkpoint_chain(cfg_.group, cfg_.replica, links, /*verified=*/true);
-}
-
-void ReplicaManager::set_recorder(obs::Recorder* rec) {
-  rec_ = rec;
-  orc_ = rec ? rec->oracle() : nullptr;
-  if (rec != nullptr) {
-    // Resolve the repl.* counter handles once per wiring instead of paying
-    // a by-name registry lookup on every checkpoint / recovery event.
-    c_recoveries_started_ = &rec->counter("repl.recoveries_started");
-    c_recoveries_completed_ = &rec->counter("repl.recoveries_completed");
-    c_promotions_ = &rec->counter("repl.promotions");
-    c_checkpoints_taken_ = &rec->counter("repl.checkpoints_taken");
-    c_checkpoints_applied_ = &rec->counter("repl.checkpoints_applied");
-    c_checkpoints_rejected_ = &rec->counter("repl.checkpoints_rejected");
-    c_state_transfers_served_ = &rec->counter("repl.state_transfers_served");
-  }
-  cts_.set_recorder(rec);
 }
 
 }  // namespace cts::replication

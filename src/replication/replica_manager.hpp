@@ -62,7 +62,8 @@ struct ManagerConfig {
   /// its own application instance with its own CCS handler stream; requests
   /// are routed by `shard_fn`.  The paper requires threads to be created in
   /// the same order at every replica — shards satisfy that by construction.
-  /// Sharding > 1 is supported for active and semi-active replication.
+  /// Sharding > 1 is supported for active and semi-active replication;
+  /// the manager throws std::invalid_argument for 0 or for passive > 1.
   std::uint32_t shards = 1;
   /// Deterministic request→shard routing (a pure function of the ordered
   /// message).  Default: everything to shard 0.
@@ -145,10 +146,6 @@ class ReplicaManager {
   [[nodiscard]] const ManagerConfig& config() const { return cfg_; }
   /// The hash-chained checkpoint history (newest last; see checkpoint_chain.hpp).
   [[nodiscard]] const std::vector<CheckpointHeader>& checkpoint_chain() const { return chain_; }
-
-  /// Attach (or detach, with nullptr) an observability recorder.  Also
-  /// wires the embedded ConsistentTimeService.
-  void set_recorder(obs::Recorder* rec);
 
  private:
   struct PendingRequest {
@@ -266,17 +263,15 @@ class ReplicaManager {
   std::uint64_t persist_low_water_ = 0;  // processed_count_ at last local persist
 
   ManagerStats stats_;
-  obs::Recorder* rec_ = nullptr;
-  obs::OrderingOracle* orc_ = nullptr;  // cached from rec_ in set_recorder()
-  // repl.* counter handles, cached alongside rec_ (guarded by `if (rec_)`
-  // at every use, same as rec_ itself).
-  obs::Counter* c_recoveries_started_ = nullptr;
-  obs::Counter* c_recoveries_completed_ = nullptr;
-  obs::Counter* c_promotions_ = nullptr;
-  obs::Counter* c_checkpoints_taken_ = nullptr;
-  obs::Counter* c_checkpoints_applied_ = nullptr;
-  obs::Counter* c_checkpoints_rejected_ = nullptr;
-  obs::Counter* c_state_transfers_served_ = nullptr;
+  obs::Recorder& rec_ = gcs_.recorder();
+  obs::OrderingOracle* const orc_ = gcs_.oracle();
+  obs::Counter& c_recoveries_started_ = rec_.counter("repl.recoveries_started");
+  obs::Counter& c_recoveries_completed_ = rec_.counter("repl.recoveries_completed");
+  obs::Counter& c_promotions_ = rec_.counter("repl.promotions");
+  obs::Counter& c_checkpoints_taken_ = rec_.counter("repl.checkpoints_taken");
+  obs::Counter& c_checkpoints_applied_ = rec_.counter("repl.checkpoints_applied");
+  obs::Counter& c_checkpoints_rejected_ = rec_.counter("repl.checkpoints_rejected");
+  obs::Counter& c_state_transfers_served_ = rec_.counter("repl.state_transfers_served");
 };
 
 }  // namespace cts::replication

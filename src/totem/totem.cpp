@@ -371,13 +371,11 @@ void TotemNode::handle_token(Token tok) {
   if (tok.token_seq <= last_token_seq_) return;  // duplicate/stale token
   last_token_seq_ = tok.token_seq;
   ++stats_.tokens_received;
-  if (c_token_pass_) ++*c_token_pass_;
+  ++c_token_pass_;
   // A full rotation completes each time the ring leader sees the token.
-  if (c_rotations_ && !view_.members.empty() && view_.members.front() == id_) ++*c_rotations_;
-  if (rec_) {
-    rec_->event(obs::EventKind::kTokenPass, id_, ReplicaId{},
-                static_cast<std::int64_t>(tok.aru), static_cast<std::int64_t>(tok.ring_id));
-  }
+  if (!view_.members.empty() && view_.members.front() == id_) ++c_rotations_;
+  rec_.event(obs::EventKind::kTokenPass, id_, ReplicaId{},
+             static_cast<std::int64_t>(tok.aru), static_cast<std::int64_t>(tok.ring_id));
   if (token_obs_) token_obs_();
 
   // Progress: the ring is alive.
@@ -401,11 +399,8 @@ void TotemNode::handle_token(Token tok) {
     if (it != store_.end()) {
       net_.broadcast(id_, encode_mcast(it->second));
       ++stats_.msgs_retransmitted;
-      if (c_msg_retrans_) ++*c_msg_retrans_;
-      if (rec_) {
-        rec_->event(obs::EventKind::kMsgRetransmit, id_, ReplicaId{},
-                    static_cast<std::int64_t>(s));
-      }
+      ++c_msg_retrans_;
+      rec_.event(obs::EventKind::kMsgRetransmit, id_, ReplicaId{}, static_cast<std::int64_t>(s));
     } else {
       still_missing.push_back(s);
     }
@@ -450,7 +445,7 @@ void TotemNode::handle_token(Token tok) {
       net_.broadcast(id_, encode_batch(batch, view_.ring_id, /*recovery=*/false));
       stats_.msgs_multicast += sent;
       ++stats_.batch_frames_sent;
-      if (c_batch_frames_) ++*c_batch_frames_;
+      ++c_batch_frames_;
       for (auto& m : batch) {
         // A self-delivery callback may crash this node (fail-stop tests);
         // stop touching protocol state the moment that happens.
@@ -464,11 +459,9 @@ void TotemNode::handle_token(Token tok) {
       // The rotation window (or fair share) closed before the queue
       // drained — backpressure a perf PR would want to see.
       ++stats_.window_stalls;
-      if (c_window_stalls_) ++*c_window_stalls_;
-      if (rec_) {
-        rec_->event(obs::EventKind::kWindowStall, id_, ReplicaId{},
-                    static_cast<std::int64_t>(send_queue_.size()), budget);
-      }
+      ++c_window_stalls_;
+      rec_.event(obs::EventKind::kWindowStall, id_, ReplicaId{},
+                 static_cast<std::int64_t>(send_queue_.size()), budget);
     }
   } else {
     last_sent_on_token_ = 0;
@@ -543,10 +536,8 @@ void TotemNode::arm_token_retrans() {
     if (token_retrans_attempts_ >= kMaxTokenRetransAttempts) return;
     ++token_retrans_attempts_;
     ++stats_.token_retransmissions;
-    if (c_token_retrans_) ++*c_token_retrans_;
-    if (rec_) {
-      rec_->event(obs::EventKind::kTokenRetransmit, id_, ReplicaId{}, token_retrans_attempts_);
-    }
+    ++c_token_retrans_;
+    rec_.event(obs::EventKind::kTokenRetransmit, id_, ReplicaId{}, token_retrans_attempts_);
     net_.send(id_, successor(), encode_token(*last_sent_token_));
     arm_token_retrans();
   });
@@ -599,7 +590,7 @@ void TotemNode::deliver_contiguous() {
     }
     ++delivered_up_to_;
     ++stats_.msgs_delivered;
-    if (c_delivered_) ++*c_delivered_;
+    ++c_delivered_;
     // Copy sender + payload (a refcount bump, not a buffer copy) out of the
     // store before invoking the callback: a fail-stop crash() from inside
     // the delivery chain clears store_, destroying the entry `it` points at.
@@ -763,13 +754,13 @@ void TotemNode::begin_recovery(const Commit& c) {
       if (frame.empty()) return;
       net_.broadcast(id_, encode_batch(frame, view_.ring_id, /*recovery=*/true));
       ++stats_.batch_frames_sent;
-      if (c_batch_frames_) ++*c_batch_frames_;
+      ++c_batch_frames_;
       frame.clear();
     };
     for (auto it = store_.upper_bound(low); it != store_.end(); ++it) {
       frame.push_back(it->second);
       ++stats_.msgs_retransmitted;
-      if (c_msg_retrans_) ++*c_msg_retrans_;
+      ++c_msg_retrans_;
       if (frame.size() >= chunk) flush();
     }
     flush();
@@ -801,14 +792,12 @@ void TotemNode::finish_recovery() {
     ++stats_.recovery_gave_up;
     CTS_WARN() << to_string(id_) << " recovery gave up on ring " << view_.ring_id << ": aru "
                << my_aru_ << " < target " << recovery_target_ << ", installing with the hole";
-    if (rec_) {
-      // Created at the first give-up: a run without one exports no such
-      // counter.
-      ++rec_->counter("totem.recovery_gave_up");
-      rec_->event(obs::EventKind::kTotemRecoveryGaveUp, id_, ReplicaId{},
-                  static_cast<std::int64_t>(my_aru_), static_cast<std::int64_t>(recovery_target_),
-                  static_cast<std::int64_t>(view_.ring_id));
-    }
+    // Created at the first give-up: a run without one exports no such
+    // counter.
+    ++rec_.counter("totem.recovery_gave_up");
+    rec_.event(obs::EventKind::kTotemRecoveryGaveUp, id_, ReplicaId{},
+               static_cast<std::int64_t>(my_aru_), static_cast<std::int64_t>(recovery_target_),
+               static_cast<std::int64_t>(view_.ring_id));
   }
 
   // Deliver everything contiguous from the old ring, including safe-class
@@ -843,12 +832,9 @@ void TotemNode::install(const View& v) {
   state_ = State::kOperational;
   recovery_attempts_ = 0;
   ++stats_.membership_changes;
-  if (c_ring_changes_) ++*c_ring_changes_;
-  if (rec_) {
-    rec_->event(obs::EventKind::kRingChange, id_, ReplicaId{},
-                static_cast<std::int64_t>(v.ring_id),
-                static_cast<std::int64_t>(v.members.size()), v.primary ? 1 : 0);
-  }
+  ++c_ring_changes_;
+  rec_.event(obs::EventKind::kRingChange, id_, ReplicaId{}, static_cast<std::int64_t>(v.ring_id),
+             static_cast<std::int64_t>(v.members.size()), v.primary ? 1 : 0);
   CTS_INFO() << to_string(id_) << " installed ring " << v.ring_id << " with " << v.members.size()
              << " members" << (v.primary ? " (primary)" : " (non-primary)");
   if (view_cb_) view_cb_(view_);
@@ -872,23 +858,6 @@ void TotemNode::install(const View& v) {
     tok.seq = 0;
     tok.aru = 0;
     scope_.after(kTokenHoldUs, [this, tok] { handle_token(tok); });
-  }
-}
-
-void TotemNode::set_recorder(obs::Recorder* rec) {
-  rec_ = rec;
-  if (rec) {
-    c_token_pass_ = &rec->counter("totem.token_passes");
-    c_rotations_ = &rec->counter("totem.token_rotations");
-    c_token_retrans_ = &rec->counter("totem.token_retransmissions");
-    c_msg_retrans_ = &rec->counter("totem.msgs_retransmitted");
-    c_delivered_ = &rec->counter("totem.msgs_delivered");
-    c_ring_changes_ = &rec->counter("totem.ring_changes");
-    c_window_stalls_ = &rec->counter("totem.window_stalls");
-    c_batch_frames_ = &rec->counter("totem.batch_frames_sent");
-  } else {
-    c_token_pass_ = c_rotations_ = c_token_retrans_ = c_msg_retrans_ = nullptr;
-    c_delivered_ = c_ring_changes_ = c_window_stalls_ = c_batch_frames_ = nullptr;
   }
 }
 

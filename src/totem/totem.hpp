@@ -187,8 +187,8 @@ class TotemNode {
   /// Used by the token-latency benchmark.
   void set_token_observer(std::function<void()> fn) { token_obs_ = std::move(fn); }
 
-  /// Attach (or detach, with nullptr) an observability recorder.
-  void set_recorder(obs::Recorder* rec);
+  /// The recorder of this node's network (net::Network::recorder()).
+  [[nodiscard]] obs::Recorder& recorder() { return rec_; }
 
   [[nodiscard]] NodeId id() const { return id_; }
   [[nodiscard]] State state() const { return state_; }
@@ -381,16 +381,15 @@ class TotemNode {
   ViewFn view_cb_;
   std::function<void()> token_obs_;
   TotemStats stats_;
-  obs::Recorder* rec_ = nullptr;
-  // Hot-path counters, resolved once in set_recorder().
-  obs::Counter* c_token_pass_ = nullptr;
-  obs::Counter* c_rotations_ = nullptr;
-  obs::Counter* c_token_retrans_ = nullptr;
-  obs::Counter* c_msg_retrans_ = nullptr;
-  obs::Counter* c_delivered_ = nullptr;
-  obs::Counter* c_ring_changes_ = nullptr;
-  obs::Counter* c_window_stalls_ = nullptr;
-  obs::Counter* c_batch_frames_ = nullptr;
+  obs::Recorder& rec_ = net_.recorder();
+  obs::Counter& c_token_pass_ = rec_.counter("totem.token_passes");
+  obs::Counter& c_rotations_ = rec_.counter("totem.token_rotations");
+  obs::Counter& c_token_retrans_ = rec_.counter("totem.token_retransmissions");
+  obs::Counter& c_msg_retrans_ = rec_.counter("totem.msgs_retransmitted");
+  obs::Counter& c_delivered_ = rec_.counter("totem.msgs_delivered");
+  obs::Counter& c_ring_changes_ = rec_.counter("totem.ring_changes");
+  obs::Counter& c_window_stalls_ = rec_.counter("totem.window_stalls");
+  obs::Counter& c_batch_frames_ = rec_.counter("totem.batch_frames_sent");
 };
 
 }  // namespace cts::totem

@@ -1,7 +1,7 @@
 // The simulated replica-group rig the CTS tests share: hosts on one Totem
 // ring, each with a GCS endpoint, a physical clock and a
-// ConsistentTimeService, optionally wired to an obs::Recorder and its
-// ordering oracle.  Two layouts: one group of N replicas with random
+// ConsistentTimeService, all recording into the network's obs::Recorder,
+// optionally with its ordering oracle.  Two layouts: one group of N replicas with random
 // drifting clocks, or two 2-replica groups whose clocks sit a fixed gap
 // apart (the multi-group causality tests).
 #pragma once
@@ -35,9 +35,7 @@ struct RigOptions {
   ReplicationStyle style = ReplicationStyle::kActive;
   std::uint64_t seed = 1;
   Micros max_forward_jump_us = 0;
-  /// Wire `rec` into the network, every endpoint and every service.
-  bool record = false;
-  /// Also enable the recorder's (non-aborting) ordering oracle.
+  /// Enable the recorder's (non-aborting) ordering oracle.
   bool oracle = false;
 };
 
@@ -51,7 +49,7 @@ class CtsRig {
  public:
   sim::Simulator sim;
   net::Network net;
-  obs::Recorder rec{sim};
+  obs::Recorder& rec = net.recorder();
   obs::OrderingOracle* orc = nullptr;
   std::vector<std::unique_ptr<totem::TotemNode>> totems;
   std::vector<std::unique_ptr<gcs::GcsEndpoint>> eps;
@@ -73,7 +71,7 @@ class CtsRig {
       cfg.replica = ReplicaId{i};
       cfg.style = o.style;
       cfg.max_forward_jump_us = o.max_forward_jump_us;
-      add_node(i, cfg, clock::random_clock_config(clock_rng), o);
+      add_node(i, cfg, clock::random_clock_config(clock_rng));
     }
   }
 
@@ -89,7 +87,7 @@ class CtsRig {
       cfg.group = in_a ? kGroupA : kGroupB;
       cfg.ccs_conn = in_a ? kCcsConnA : kCcsConnB;
       cfg.replica = ReplicaId{i % 2};
-      add_node(i, cfg, ccfg, o);
+      add_node(i, cfg, ccfg);
       messengers.push_back(
           std::make_unique<CausalMessenger>(*eps.back(), *svcs.back(), cfg.group, kThread0));
     }
@@ -133,20 +131,16 @@ class CtsRig {
  private:
   void wire(const RigOptions& o, std::size_t n) {
     if (o.oracle) orc = &rec.enable_oracle(/*abort_on_violation=*/false);
-    if (o.record) net.set_recorder(&rec);
     for (std::uint32_t i = 0; i < n; ++i) tcfg_.universe.push_back(NodeId{i});
     readings.resize(n);
     rounds.resize(n);
   }
 
-  void add_node(std::uint32_t i, const CtsConfig& cfg, const clock::ClockConfig& ccfg,
-                const RigOptions& o) {
+  void add_node(std::uint32_t i, const CtsConfig& cfg, const clock::ClockConfig& ccfg) {
     totems.push_back(std::make_unique<totem::TotemNode>(sim, net, NodeId{i}, tcfg_));
     eps.push_back(std::make_unique<gcs::GcsEndpoint>(sim, *totems.back()));
-    if (o.record) eps.back()->set_recorder(&rec);  // wires the Totem node too
     clocks.push_back(std::make_unique<clock::PhysicalClock>(sim, ccfg));
     svcs.push_back(std::make_unique<ConsistentTimeService>(sim, *eps.back(), *clocks.back(), cfg));
-    if (o.record) svcs.back()->set_recorder(&rec);
     svcs.back()->set_round_observer([this, i](const RoundResult& rr) { rounds[i].push_back(rr); });
     if (cfg.style != ReplicationStyle::kActive) svcs.back()->set_primary(i == 0);
   }

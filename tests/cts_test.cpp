@@ -508,7 +508,7 @@ TEST(CtsSpecialRoundTest, SecondSpecialRoundInFlightIsRejected) {
   // Special rounds are serialized by the state-transfer protocol; a second
   // one while the first is in flight is a caller bug.  It is rejected loudly
   // and its callback never runs, while the first round still completes.
-  CtsRig rig(2, {.record = true});
+  CtsRig rig(2);
   rig.start();
   ConsistentTimeService& svc = *rig.svcs[0];
   Micros first = kNoTime;

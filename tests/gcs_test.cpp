@@ -85,6 +85,22 @@ TEST(GcsCodecTest, DecodeRejectsGarbage) {
   EXPECT_THROW(GcsEndpoint::decode(Bytes{1, 2}), CodecError);
 }
 
+// The type byte indexes the per-type stats and counters, so a type outside
+// [1, kMsgTypes] must be rejected at decode, never delivered.
+TEST(GcsCodecTest, DecodeRejectsUnknownType) {
+  Message m;
+  m.hdr.type = MsgType::kUserRequest;
+  m.payload = pay("x");
+  for (const std::uint8_t type : {0, 9, 200}) {
+    Bytes wire = GcsEndpoint::encode(m);
+    wire[0] = type;
+    EXPECT_THROW(GcsEndpoint::decode(wire), CodecError) << int{type};
+  }
+  Bytes wire = GcsEndpoint::encode(m);
+  wire[0] = static_cast<std::uint8_t>(MsgType::kFragment);
+  EXPECT_EQ(GcsEndpoint::decode(wire).hdr.type, MsgType::kFragment);
+}
+
 TEST(GcsCodecTest, MsgTypeNamesAreDistinct) {
   EXPECT_STREQ(to_string(MsgType::kCcs), "CCS");
   EXPECT_STREQ(to_string(MsgType::kGetState), "GetState");

@@ -1,6 +1,7 @@
 // Tests for the multi-group causal-timestamp extension (paper Section 5).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -233,8 +234,13 @@ TEST(MultigroupTest, MalformedStampIsRejectedCountedAndDoesNotRaiseFloor) {
   // stamp_rejected trace event).
   CtsRig rig(TwoGroups{300'000});
   rig.start();
-  obs::Recorder rec(rig.sim);
-  rig.eps[2]->set_recorder(&rec);
+  obs::Recorder& rec = rig.rec;
+  // Every node records into the rig's recorder; the rejections are node 2's.
+  const auto rejected_at_2 = [&rec] {
+    const auto events = rec.trace().select(obs::EventKind::kStampRejected);
+    return std::count_if(events.begin(), events.end(),
+                         [](const obs::TraceEvent& e) { return e.node == 2; });
+  };
 
   int delivered = 0;
   rig.messengers[2]->subscribe(kInterConn, [&](const gcs::Message&, Micros, const Bytes&) {
@@ -265,6 +271,7 @@ TEST(MultigroupTest, MalformedStampIsRejectedCountedAndDoesNotRaiseFloor) {
   EXPECT_EQ(rig.svcs[2]->causal_floor(), floor_before);
   EXPECT_EQ(rec.counter("multigroup.stamps_rejected").value, 3u);
   EXPECT_EQ(rec.trace().count(obs::EventKind::kStampRejected), 3u);
+  EXPECT_EQ(rejected_at_2(), 3);
 
   // The stream is not wedged: a well-formed stamp on the same (conn, tag)
   // stream still delivers and raises the floor.

@@ -20,8 +20,7 @@ using ccs::CtsRig;
 using ccs::kThread0;
 using ccs::ReplicationStyle;
 
-// The obs rigs record everything; their workers draw delays from seed 1.
-constexpr ccs::RigOptions kRecorded{.record = true};
+// The obs rigs' workers draw delays from seed 1.
 constexpr std::uint64_t kDelaySeed = 1;
 constexpr Micros kBudget = 60'000'000;
 
@@ -72,7 +71,7 @@ TEST(TraceLogTest, JsonlNamesKindsAndNullsInvalidIds) {
 // --- Behavioral: full CTS rig with a shared recorder ------------------------------
 
 TEST(ObsTraceTest, LossFreeRunHasNoDropsRetransmitsOrStalledWindows) {
-  CtsRig rig(3, kRecorded);
+  CtsRig rig(3);
   rig.start();
   rig.run_workers(40, kBudget, kDelaySeed);
   ASSERT_EQ(rig.readings[0].size(), 40u);
@@ -101,7 +100,7 @@ TEST(ObsTraceTest, LossFreeRunHasNoDropsRetransmitsOrStalledWindows) {
 }
 
 TEST(ObsTraceTest, ExactlyOneSynchronizerWinsEachRound) {
-  CtsRig rig(3, kRecorded);
+  CtsRig rig(3);
   rig.start();
   rig.run_workers(60, kBudget, kDelaySeed);
   ASSERT_EQ(rig.readings[0].size(), 60u);
@@ -129,7 +128,7 @@ TEST(ObsTraceTest, PassiveFailoverReissuesExactlyOnePendingProposal) {
   // primary dies before its proposal for an in-flight round was delivered,
   // the promoted backup must send one — exactly one — so the round
   // completes with a consistent group clock at every survivor.
-  CtsRig rig(3, {.style = ReplicationStyle::kPassive, .record = true});
+  CtsRig rig(3, {.style = ReplicationStyle::kPassive});
   rig.start();
 
   // Warm-up round with the primary alive: everyone reads once.
@@ -174,7 +173,7 @@ TEST(ObsTraceTest, ReentrantClockCallIsRejectedLoudly) {
   // The NDEBUG-vanishing assert is gone: a second clock-related operation
   // on a thread with a round in flight is rejected with an error return
   // and a trace event, in every build mode.
-  CtsRig rig(2, kRecorded);
+  CtsRig rig(2);
   rig.start();
 
   Micros first = kNoTime;

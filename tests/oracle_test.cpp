@@ -357,7 +357,7 @@ TEST(OracleMultigroupTest, RepresentativeCrashMidHandoffKeepsCausality) {
   // Two groups with a live (non-aborting) oracle observing every layer.
   // Group A's clocks run ahead of group B's, so an unstamped handoff WOULD
   // violate causality.
-  CtsRig rig(TwoGroups{300'000}, {.record = true, .oracle = true});
+  CtsRig rig(TwoGroups{300'000}, {.oracle = true});
   rig.start();
 
   Micros a_ts = 0;

@@ -40,6 +40,26 @@ TEST(ScenarioArgsTest, RejectsMalformedAndContradictoryArguments) {
   EXPECT_TRUE(parse({"--seed", "1-2"}).error.empty());
 }
 
+// Degenerate counts are usage errors (ctsim exits 2), not runs: zero
+// shards crashed the process, zero servers idled through the drain, a
+// negative invocation count printed `replies: 0 of -5`, zero rings ran one,
+// and sharded passive replication ran although ReplicaManager forbids it.
+TEST(ScenarioArgsTest, RejectsDegenerateCounts) {
+  EXPECT_FALSE(parse({"--shards", "0"}).error.empty());
+  EXPECT_FALSE(parse({"--shards", "0", "--topology", "2x3"}).error.empty());
+  EXPECT_FALSE(parse({"--servers", "0"}).error.empty());
+  EXPECT_FALSE(parse({"--invocations", "-5"}).error.empty());
+  EXPECT_FALSE(parse({"--rings", "0"}).error.empty());
+  EXPECT_FALSE(parse({"--shards", "2", "--style", "passive"}).error.empty());
+  EXPECT_FALSE(parse({"--style", "passive", "--shards", "2", "--kv"}).error.empty());
+  EXPECT_EQ(parse({"--servers", "-1"}).error, "usage");  // no wrap to 2^64 - 1
+  EXPECT_EQ(parse({"--shards", "-1"}).error, "usage");
+  EXPECT_EQ(parse({"--rings", "2x"}).error, "usage");
+  EXPECT_TRUE(parse({"--invocations", "0"}).error.empty());
+  EXPECT_TRUE(parse({"--shards", "2", "--style", "semiactive"}).error.empty());
+  EXPECT_TRUE(parse({"--rings", "1", "--servers", "1", "--shards", "1"}).error.empty());
+}
+
 // Every ring of a multi-ring run takes the clock and checkpoint flags.
 TEST(ScenarioArgsTest, ClockAndCheckpointFlagsApplyToEveryRing) {
   for (const char* flag : {"--clock-offset", "--clock-drift", "--mean-delay", "--reference-gain",

@@ -4,6 +4,8 @@
 // all shards to quiescence for state transfer (paper Sections 2 and 3.2).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "app/kv_store.hpp"
 #include "app/testbed.hpp"
 #include "testbed_util.hpp"
@@ -227,6 +229,21 @@ TEST(ShardedTest, SemiActiveShardedWorks) {
       EXPECT_EQ(tb.server(s).app(sh).state_digest(), tb.server(0).app(sh).state_digest());
     }
   }
+}
+
+// ReplicaManager's preconditions hold in every build type: zero shards and
+// sharded passive replication throw instead of running (or, with the
+// assertions compiled out, crashing).
+TEST(ShardedTest, ManagerRejectsZeroShardsAndShardedPassive) {
+  TestbedConfig zero;
+  zero.shards = 0;
+  EXPECT_THROW(Testbed{zero}, std::invalid_argument);
+  TestbedConfig passive;
+  passive.style = replication::ReplicationStyle::kPassive;
+  passive.shards = 2;
+  passive.factory = kv_store_factory();
+  passive.shard_fn = kv_shard_of;
+  EXPECT_THROW(Testbed{passive}, std::invalid_argument);
 }
 
 }  // namespace

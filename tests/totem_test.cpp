@@ -363,8 +363,7 @@ TEST(TotemCrashTest, CrashShutsTheHostScopeDown) {
 // happens.
 TEST(TotemRecoveryTest, GiveUpIsCountedAndTraced) {
   Cluster c(3);
-  obs::Recorder rec(c.sim);
-  for (auto& n : c.nodes) n->set_recorder(&rec);
+  obs::Recorder& rec = c.net.recorder();
   c.start_all();
   ASSERT_TRUE(c.converge());
   EXPECT_EQ(rec.metrics().value("totem.recovery_gave_up"), 0u);
@@ -392,6 +391,11 @@ TEST(TotemRecoveryTest, GiveUpIsCountedAndTraced) {
   EXPECT_EQ(rec.metrics().value("totem.recovery_gave_up"), 2u);
   const auto events = rec.trace().select(obs::EventKind::kTotemRecoveryGaveUp);
   ASSERT_EQ(events.size(), 2u);
+  for (std::uint32_t i : {1u, 2u}) {
+    const auto at_i = std::count_if(events.begin(), events.end(),
+                                    [i](const obs::TraceEvent& e) { return e.node == i; });
+    EXPECT_EQ(at_i, 1) << "node " << i;
+  }
   EXPECT_LT(events[0].a, events[0].b);  // the hole: aru below the target
 }
 
@@ -773,8 +777,7 @@ TEST(TotemRobustnessTest, InFlightBitFlipsDieAtTheEnvelope) {
   net::NetworkConfig ncfg;
   ncfg.corrupt_probability = 0.02;
   Cluster c(3, ncfg);
-  obs::Recorder rec(c.sim);
-  obs::OrderingOracle& orc = rec.enable_oracle(/*abort_on_violation=*/false);
+  obs::OrderingOracle& orc = c.net.recorder().enable_oracle(/*abort_on_violation=*/false);
   for (std::uint32_t i = 0; i < 3; ++i) {
     TotemNode& n = *c.nodes[i];
     n.set_view_handler([&c, &orc, i, &n](const View& v) {
